@@ -78,7 +78,7 @@ class MinPlusOneProtocol {
 template <>
 struct SimdEval<MinPlusOneProtocol> {
   struct Context {
-    FlatAdjacency adj;
+    CsrView adj;
   };
   static Context make_context(const Graph& g, const MinPlusOneProtocol&);
   static void enabled_bytes(const Context& ctx, const MinPlusOneProtocol& proto,

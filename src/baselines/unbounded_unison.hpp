@@ -63,7 +63,7 @@ class UnboundedUnisonProtocol {
 template <>
 struct SimdEval<UnboundedUnisonProtocol> {
   struct Context {
-    FlatAdjacency adj;
+    CsrView adj;
   };
   static Context make_context(const Graph& g, const UnboundedUnisonProtocol&);
   static void enabled_bytes(const Context& ctx, const UnboundedUnisonProtocol&,

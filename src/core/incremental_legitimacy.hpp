@@ -308,7 +308,7 @@ class ClosureCounting {
   };
   auto verdict = [](std::int64_t total) { return total == 0; };
   // One pass over the raw clock column with the ring arithmetic inlined
-  // (same int64 formulation as SimdEval<UnisonProtocol>) instead of a
+  // (the int64 formulation of CherryClock::ring_distance) instead of a
   // locally_legitimate() call chain per vertex.
   auto bulk = [&unison](const Graph& g,
                         const ConfigView<ClockValue>& cfg) -> std::int64_t {

@@ -123,7 +123,8 @@ class SsmeProtocol {
 
 /// Vectorized guard kernel: SSME's rules *are* the unison's (the
 /// privileged predicate never interferes with the moves), so the kernel
-/// forwards to SimdEval<UnisonProtocol> on the underlying substrate.
+/// and its rule-code successor forward to SimdEval<UnisonProtocol> on the
+/// underlying substrate.
 template <>
 struct SimdEval<SsmeProtocol> {
   using ScoreKind = SimdEval<UnisonProtocol>::ScoreKind;
@@ -145,6 +146,10 @@ struct SimdEval<SsmeProtocol> {
     return SimdEval<UnisonProtocol>::enabled_bytes_scored(ctx, proto.unison(),
                                                           cfg, out, begin,
                                                           end);
+  }
+  static ClockValue successor(const SsmeProtocol& proto, ClockValue own,
+                              std::uint8_t code) {
+    return SimdEval<UnisonProtocol>::successor(proto.unison(), own, code);
   }
 };
 

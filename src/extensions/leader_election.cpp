@@ -131,22 +131,22 @@ inline std::uint64_t lex_key(std::int32_t leader, std::int32_t dist) {
 
 SimdEval<LeaderElectionProtocol>::Context SimdEval<LeaderElectionProtocol>::
     make_context(const Graph& g, const LeaderElectionProtocol&) {
-  return {flatten_adjacency(g)};
+  return {g.csr()};
 }
 
 void SimdEval<LeaderElectionProtocol>::enabled_bytes(
     const Context& ctx, const LeaderElectionProtocol& proto,
     const ConfigView<LeaderState>& cfg, std::uint8_t* out, VertexId begin,
     VertexId end) {
-  const std::int32_t* off = ctx.adj.offsets.data();
-  const VertexId* tg = ctx.adj.targets.data();
+  const std::int64_t* off = ctx.adj.offsets;
+  const VertexId* tg = ctx.adj.targets;
   const auto bound = static_cast<std::int32_t>(cfg.size());
   const std::int32_t* lead = cfg.column<kLeaderField>();
   const std::int32_t* dst = cfg.column<kDistField>();
   if (lead != nullptr && dst != nullptr) {
     for (VertexId v = begin; v < end; ++v) {
       std::uint64_t best = lex_key(proto.id_of(v), 0);
-      for (std::int32_t j = off[v]; j < off[v + 1]; ++j) {
+      for (std::int64_t j = off[v]; j < off[v + 1]; ++j) {
         const auto i = static_cast<std::size_t>(tg[j]);
         const std::int32_t du = dst[i];
         // Same discard as best_candidate(): corrupted or overflowing
@@ -166,7 +166,7 @@ void SimdEval<LeaderElectionProtocol>::enabled_bytes(
   // loads.
   for (VertexId v = begin; v < end; ++v) {
     std::uint64_t best = lex_key(proto.id_of(v), 0);
-    for (std::int32_t j = off[v]; j < off[v + 1]; ++j) {
+    for (std::int64_t j = off[v]; j < off[v + 1]; ++j) {
       const auto i = static_cast<std::size_t>(tg[j]);
       const std::int32_t du = cfg.field<kDistField>(i);
       const std::uint64_t ck = lex_key(cfg.field<kLeaderField>(i), du + 1);

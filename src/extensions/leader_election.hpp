@@ -134,7 +134,7 @@ class LeaderElectionProtocol {
 template <>
 struct SimdEval<LeaderElectionProtocol> {
   struct Context {
-    FlatAdjacency adj;
+    CsrView adj;
   };
   static Context make_context(const Graph& g, const LeaderElectionProtocol&);
   static void enabled_bytes(const Context& ctx,

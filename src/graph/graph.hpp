@@ -61,6 +61,15 @@ class NeighborSpan {
   std::size_t size_ = 0;
 };
 
+/// Read-only view of a Graph's CSR arrays: the neighbours of v occupy
+/// targets[offsets[v] .. offsets[v + 1]), sorted ascending.  Guard
+/// kernels stream these instead of calling Graph::neighbors() per
+/// vertex.  Invalidated by the next add_edge() on the owning graph.
+struct CsrView {
+  const std::int64_t* offsets = nullptr;  ///< n + 1 entries
+  const VertexId* targets = nullptr;      ///< 2m entries
+};
+
 /// Undirected simple graph with dense vertex ids and sorted adjacency in
 /// CSR form: one offsets array (n + 1 entries) plus one flat neighbour
 /// array, so a 10^7-vertex ring costs two contiguous allocations instead
@@ -111,6 +120,13 @@ class Graph {
     const auto lo = offsets_[static_cast<std::size_t>(v)];
     const auto hi = offsets_[static_cast<std::size_t>(v) + 1];
     return {targets_.data() + lo, static_cast<std::size_t>(hi - lo)};
+  }
+
+  /// The CSR arrays themselves (flushes staged edges first, so the first
+  /// call must be sequential, like the first neighbors() call).
+  [[nodiscard]] CsrView csr() const {
+    ensure_flushed();
+    return {offsets_.data(), targets_.data()};
   }
 
   /// Degree of v.

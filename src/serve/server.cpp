@@ -389,8 +389,11 @@ void SessionServer::execute_run(const ConnectionPtr& conn, const JsonValue& id,
     const SessionResult result = entry.run_on(topo->graph, diam, spec);
     std::string payload = session_result_to_json(sreq, result, false).dump();
     sessions_completed_.fetch_add(1);
-    conn->write_line(render_result_line_raw(id, payload));
+    // Insert before the write, for the same reason: a client that resends
+    // as soon as it holds its reply must hit the cache on any worker.
+    const std::string line = render_result_line_raw(id, payload);
     cache_.insert(key, std::move(payload));
+    conn->write_line(line);
   } catch (const std::invalid_argument& e) {
     reply_error(conn, id, kErrInvalid, e.what());
   } catch (const std::exception& e) {

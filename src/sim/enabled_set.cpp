@@ -54,7 +54,7 @@ void EnabledSet::reset(VertexId n) {
 
 std::size_t EnabledSet::fill_words(VertexId begin, VertexId end,
                                    const std::uint8_t* verdicts) {
-  assert(begin % 64 == 0 && begin <= end);
+  assert((begin % 64 == 0 || begin == end) && begin <= end);
   std::size_t count = 0;
   for (VertexId base = begin; base < end; base += 64) {
     // The verdict buffer is padded to a 64-byte multiple and zeroed past
@@ -83,7 +83,7 @@ void EnabledSet::prepare_scatter(const std::vector<std::size_t>& counts,
 
 void EnabledSet::scatter_words(VertexId begin, VertexId end,
                                std::size_t offset) {
-  assert(begin % 64 == 0 && begin <= end);
+  assert((begin % 64 == 0 || begin == end) && begin <= end);
   VertexId* dst = vertices_.data() + offset;
   for (VertexId base = begin; base < end; base += 64) {
     std::uint64_t mask = words_[static_cast<std::size_t>(base) / 64];

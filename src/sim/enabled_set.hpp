@@ -207,8 +207,9 @@ class EnabledSet {
 
   /// Packs verdicts[begin..end) into mask words and the membership
   /// bitmap; returns the number of enabled vertices in the range.
-  /// `begin` must be a multiple of 64; `end` must be the next shard's
-  /// begin or n.
+  /// `begin` must be a multiple of 64 unless the range is empty (the
+  /// trailing empty shards of a small graph start at n); `end` must be
+  /// the next shard's begin or n.
   std::size_t fill_words(VertexId begin, VertexId end,
                          const std::uint8_t* verdicts);
 

@@ -21,7 +21,11 @@
 //      configuration and merges them straight into the ConfigStore's
 //      inactive double buffers over its own column segment
 //      (dense_fill_range); one barrier, then a sequential O(1) buffer
-//      swap (dense_commit) publishes the post-action configuration;
+//      swap (dense_commit) publishes the post-action configuration.
+//      When the kernel's verdict bytes are rule codes (SimdEval
+//      successor(), simd_eval.hpp) and still describe the live
+//      configuration, a successor is the vertex's own state advanced by
+//      its code — the guards are not evaluated a second time;
 //   2. *fused guard rescan* — shard k evaluates its vertex range through
 //      the protocol's SimdEval kernel (simd_eval.hpp; scalar sweep for
 //      protocols without one), packs the verdict bytes into the
@@ -35,6 +39,9 @@
 //      enabled counts (prepare_scatter), shard k decodes its mask words
 //      into its slice of the sorted enabled vector (scatter_words) —
 //      the old sequential delta-concatenation/merge pass is gone.
+//
+//   The initial enabled set comes from the same sharded rescan +
+//   scatter, so the first dense step applies from codes too.
 //
 //   *sparse steps* keep the delta path: successor states computed in
 //   parallel and installed sequentially via set(); each shard re-tests
@@ -212,9 +219,6 @@ RunResult<typename P::State> run_execution_parallel(
 
   EnabledSet enabled;
   enabled.reset(g.n());
-  // The initial full scan is sequential; it also performs the graph's
-  // lazy CSR flush before any worker reads adjacency.
-  enabled.assign(enabled_vertices(g, proto, live));
 
   // External pool (campaign / serve host threads) or a run-local one.
   // The shard count is the requested thread count clamped to the pool —
@@ -229,9 +233,6 @@ RunResult<typename P::State> run_execution_parallel(
   }
   const std::size_t shards = std::min(want, pool->participants());
   const auto bounds = parallel_detail::shard_bounds(g.n(), shards);
-  std::vector<parallel_detail::ShardScratch> scratch;
-  scratch.reserve(shards);
-  for (std::size_t k = 0; k < shards; ++k) scratch.emplace_back(g.n());
 
   const auto run_shards = [&](const std::function<void(std::size_t)>& fn) {
     pool->run(shards, fn);
@@ -253,17 +254,40 @@ RunResult<typename P::State> run_execution_parallel(
     }
   }();
 
+  // Whether the kernel's verdict bytes are rule codes that the dense
+  // install can apply from (see simd_eval.hpp).
+  constexpr bool kRuleCodes = HasRuleCodeSimdEval<P>;
+
   // Shared guard-kernel state (context + padded verdict bytes): shards
   // write disjoint verdict ranges, so one buffer serves all of them.
   auto kernel = make_enabled_kernel(g, proto);
+  // Flush the graph's staged edges before any worker reads adjacency.
+  (void)g.csr();
+  // True while kernel.verdicts holds the guard verdicts of the live
+  // configuration: after the initial scan and after every dense rescan,
+  // but not after a sparse re-test or a fault epoch, which re-test balls
+  // through proto.enabled() only.
+  bool verdicts_live = false;
 
-  // Per-step touched stamps deduplicate ball overlaps on the sparse
-  // path: workers stamp only vertices inside their own shard range
-  // (interior balls), the sequential fix-up pass stamps anywhere.
-  std::vector<std::uint32_t> touched(static_cast<std::size_t>(g.n()), 0);
+  // Sparse-path scratch, allocated on the first sparse step or fault
+  // epoch (dense-only runs never pay its O(n) per shard):
+  //   - per-shard expanders and delta buffers;
+  //   - per-step touched stamps that deduplicate ball overlaps — workers
+  //     stamp only vertices inside their own shard range (interior
+  //     balls), the sequential fix-up pass stamps anywhere;
+  //   - the fix-up expander, shared with the fault repair.
+  std::vector<parallel_detail::ShardScratch> scratch;
+  std::vector<std::uint32_t> touched;
   std::uint32_t step_gen = 0;
+  std::optional<NeighborhoodExpander> fixup_expander;
+  const auto ensure_sparse_scratch = [&] {
+    if (fixup_expander) return;
+    scratch.reserve(shards);
+    for (std::size_t k = 0; k < shards; ++k) scratch.emplace_back(g.n());
+    touched.assign(static_cast<std::size_t>(g.n()), 0);
+    fixup_expander.emplace(g.n());
+  };
 
-  NeighborhoodExpander fixup_expander(g.n());
   ActionBuffer action;
   const std::vector<VertexId>& activated = action.active;
   std::vector<VertexId> round_base;
@@ -280,8 +304,10 @@ RunResult<typename P::State> run_execution_parallel(
 
   // Dense phase 1 — fused apply + install: shard k stages the successor
   // states of its activated slice and merges its column segment of the
-  // inactive double buffers.  No cross-shard reads: the live buffers are
-  // immutable until dense_commit().
+  // inactive double buffers.  While the verdict buffer is live, the
+  // successors come from the rule codes (own state + code, no guard
+  // re-evaluation); otherwise from proto.apply().  No cross-shard reads:
+  // the live buffers are immutable until dense_commit().
   const std::function<void(std::size_t)> dense_install_phase =
       [&](std::size_t k) {
         const auto a_lo = static_cast<std::size_t>(
@@ -291,9 +317,17 @@ RunResult<typename P::State> run_execution_parallel(
             std::lower_bound(activated.begin(), activated.end(),
                              bounds[k + 1]) -
             activated.begin());
-        for (std::size_t j = a_lo; j < a_hi; ++j) {
-          staged[j] = proto.apply(g, live, activated[j]);
+        std::size_t j = a_lo;
+        if constexpr (kRuleCodes) {
+          if (verdicts_live) {
+            const std::uint8_t* code = kernel.verdicts.data();
+            for (; j < a_hi; ++j) {
+              const auto i = static_cast<std::size_t>(activated[j]);
+              staged[j] = SimdEval<P>::successor(proto, live.get(i), code[i]);
+            }
+          }
         }
+        for (; j < a_hi; ++j) staged[j] = proto.apply(g, live, activated[j]);
         cfg.dense_fill_range(activated, staged.data(), a_lo, a_hi,
                              static_cast<std::size_t>(bounds[k]),
                              static_cast<std::size_t>(bounds[k + 1]));
@@ -363,6 +397,15 @@ RunResult<typename P::State> run_execution_parallel(
         std::sort(sc.removed.begin(), sc.removed.end());
       };
 
+  // The sharded rescan + scatter of the dense path, also the initial scan.
+  const auto dense_rescan = [&] {
+    run_shards(dense_rescan_phase);
+    enabled.prepare_scatter(shard_counts, shard_offsets);
+    run_shards(dense_scatter_phase);
+    verdicts_live = true;
+  };
+  dense_rescan();
+
   StepIndex since_convergence = 0;
   while (res.steps < opt.max_steps) {
     // Fault injection: corruption and repair run sequentially (epochs are
@@ -381,6 +424,7 @@ RunResult<typename P::State> run_execution_parallel(
       for (std::size_t i = 0; i < pert.victims.size(); ++i) {
         cfg.set(static_cast<std::size_t>(pert.victims[i]), pert.values[i]);
       }
+      verdicts_live = false;
       bool checker_legit;
       if (is_dense_update(static_cast<std::int64_t>(pert.victims.size()),
                           radius, g)) {
@@ -391,8 +435,9 @@ RunResult<typename P::State> run_execution_parallel(
         enabled.end_rebuild();
         checker_legit = fault_refresh_checker(checker, g, live, pert.victims);
       } else {
+        ensure_sparse_scratch();
         enabled.begin_update();
-        const auto& dirty = fixup_expander.expand(g, pert.victims, radius);
+        const auto& dirty = fixup_expander->expand(g, pert.victims, radius);
         for (VertexId v : dirty) enabled.note(v, proto.enabled(g, live, v));
         if constexpr (HasBallUpdate<C, State>) {
           checker_legit = checker.update_radius() == radius
@@ -468,9 +513,7 @@ RunResult<typename P::State> run_execution_parallel(
     if (dense) {
       // Fused sharded rescan (phases 2-3 above); identical set contents
       // to the incremental engine's ordered full rescan.
-      run_shards(dense_rescan_phase);
-      enabled.prepare_scatter(shard_counts, shard_offsets);
-      run_shards(dense_scatter_phase);
+      dense_rescan();
       if constexpr (kFusedScore) {
         std::int64_t total = 0;
         for (std::size_t k = 0; k < shards; ++k) total += shard_scores[k];
@@ -479,6 +522,8 @@ RunResult<typename P::State> run_execution_parallel(
         checker_legit = checker.on_update(g, live, activated);
       }
     } else {
+      ensure_sparse_scratch();
+      verdicts_live = false;
       if (++step_gen == 0) {
         std::fill(touched.begin(), touched.end(), 0);
         step_gen = 1;
@@ -496,7 +541,7 @@ RunResult<typename P::State> run_execution_parallel(
       }
       if (!boundary_all.empty()) {
         const EnabledView pre = enabled.view();
-        const auto& dirty = fixup_expander.expand(g, boundary_all, radius);
+        const auto& dirty = fixup_expander->expand(g, boundary_all, radius);
         for (VertexId u : dirty) {
           auto& stamp = touched[static_cast<std::size_t>(u)];
           if (stamp == step_gen) continue;

@@ -11,7 +11,7 @@
 //
 //   template <>
 //   struct SimdEval<MyProtocol> {
-//     struct Context { FlatAdjacency adj; };
+//     struct Context { CsrView adj; };
 //     static Context make_context(const Graph& g, const MyProtocol&);
 //     static void enabled_bytes(const Context&, const MyProtocol&,
 //                               const ConfigView<MyProtocol::State>& cfg,
@@ -20,22 +20,39 @@
 //   };
 //
 // make_context() runs once per execution and precomputes whatever the
-// kernel streams (typically the flattened CSR adjacency below).
-// enabled_bytes() must write out[v] = proto.enabled(g, cfg, v) ? 1 : 0
-// for every vertex in [begin, end), bit-exactly — the differential
-// harness holds the rescan engines to byte-identical RunResults against
-// the other engines.  The range parameters exist for the parallel
-// engine's shard fan-out (disjoint ranges touch disjoint out bytes, so
-// shards write concurrently without synchronization); the vector engine
-// always passes [0, n).  Kernels are written as branch-light per-column
-// loops over the ConfigStore columns (the AoS vector *is* the column for
-// arithmetic states) so the compiler can auto-vectorize them; the
-// engines pack the verdict bytes into 64-bit words
-// (pack_verdict_word()) and feed them to EnabledSet::append_mask() /
-// EnabledSet::fill_words().
+// kernel streams — typically just the graph's read-only CSR arrays
+// (Graph::csr(), two pointers; nothing is copied).  enabled_bytes() must
+// write out[v] != 0 iff proto.enabled(g, cfg, v) for every vertex in
+// [begin, end), bit-exactly — the differential harness holds the rescan
+// engines to byte-identical RunResults against the other engines.  The
+// range parameters exist for the parallel engine's shard fan-out
+// (disjoint ranges touch disjoint out bytes, so shards write
+// concurrently without synchronization); the vector engine always
+// passes [0, n).  Kernels are written as branch-light per-column loops
+// over the ConfigStore columns (the AoS vector *is* the column for
+// arithmetic states); the engines pack the verdict bytes into 64-bit
+// words (pack_verdict_word(): nonzero = enabled) and feed them to
+// EnabledSet::append_mask() / EnabledSet::fill_words().
 //
-// A specialization may additionally fuse the legitimacy scan into the
-// guard pass: declare a ScoreKind tag plus enabled_bytes_scored(), which
+// Rule codes.  A specialization may additionally declare
+//
+//     static State successor(const P&, State own, std::uint8_t code);
+//
+// and so promise that its verdict byte names the rule that fires, not
+// just whether one does: successor(proto, cfg[v], out[v]) must equal
+// proto.apply(g, cfg, v) for every enabled v.  (The unison kernel writes
+// 1 = increment, NA or CA; 2 = reset, RA; 0 = disabled.)  The parallel
+// engine's dense install then computes each activated vertex's next
+// state from its own register and its code instead of re-deriving the
+// guards through apply().  That is valid only while the verdict buffer
+// describes the live configuration — after the initial sharded scan and
+// after a dense rescan.  A sparse step or a fault epoch re-tests only a
+// ball through proto.enabled() and leaves the buffer stale, so the next
+// dense install falls back to proto.apply(); protocols without
+// successor() always take that path.
+//
+// A specialization may also fuse the legitimacy scan into the guard
+// pass: declare a ScoreKind tag plus enabled_bytes_scored(), which
 // writes the same guard bytes AND returns the total violation score the
 // tag's LocalScoreChecker would compute from scratch over [begin, end)
 // (exactly the checker's bulk/score sum — same int64, no early exit;
@@ -68,18 +85,6 @@
 #include "sim/types.hpp"
 
 namespace specstab {
-
-/// Flattened CSR adjacency: the neighbours of v occupy
-/// targets[offsets[v] .. offsets[v+1]), in the Graph's (sorted) order.
-/// Guard kernels stream this instead of chasing the per-vertex
-/// std::vector pointers of Graph::neighbors().
-struct FlatAdjacency {
-  std::vector<std::int32_t> offsets;  ///< size n + 1
-  std::vector<VertexId> targets;      ///< size 2m
-};
-
-/// One-pass flattening of g's adjacency lists.
-[[nodiscard]] FlatAdjacency flatten_adjacency(const Graph& g);
 
 /// 64 verdict bytes -> one bitmask word, bit b = (bytes[b] != 0).  The
 /// caller guarantees 64 readable bytes (the engines pad their verdict
@@ -126,6 +131,16 @@ concept HasSimdEval =
           -> std::same_as<typename SimdEval<P>::Context>;
       { SimdEval<P>::enabled_bytes(ctx, p, cfg, out, begin, end) }
           -> std::same_as<void>;
+    };
+
+/// Kernel whose verdict bytes are rule codes: successor() turns a
+/// vertex's own state and its code into the state apply() would compute.
+template <class P>
+concept HasRuleCodeSimdEval =
+    HasSimdEval<P> &&
+    requires(const P& p, const typename P::State& own, std::uint8_t code) {
+      { SimdEval<P>::successor(p, own, code) }
+          -> std::same_as<typename P::State>;
     };
 
 // --- Score-fused kernels -------------------------------------------------

@@ -119,7 +119,7 @@ bool UnisonProtocol::well_formed(const Graph& g,
 
 SimdEval<UnisonProtocol>::Context SimdEval<UnisonProtocol>::make_context(
     const Graph& g, const UnisonProtocol&) {
-  return {flatten_adjacency(g)};
+  return {g.csr()};
 }
 
 void SimdEval<UnisonProtocol>::enabled_bytes(const Context& ctx,
@@ -134,44 +134,76 @@ std::int64_t SimdEval<UnisonProtocol>::enabled_bytes_scored(
     const Context& ctx, const UnisonProtocol& proto,
     const ConfigView<ClockValue>& cfg, std::uint8_t* out, VertexId begin,
     VertexId end) {
-  // Bit-exact restatement of enabled() = NA || CA || RA with the guard
-  // relations inlined branch-free.  All clock arithmetic runs in int64
-  // like CherryClock::ring_projection, so corrupted int32 registers fold
-  // identically; bar(.) of a difference needs at most one modulo and one
-  // conditional add (both operands lie in (-(alpha + K), alpha + K) for
-  // well-formed registers, and the modulo covers the rest).
+  // Bit-exact restatement of NA / CA / RA with the guard relations inlined
+  // branch-free, writing the rule code (1 = NA or CA, 2 = RA, 0 =
+  // disabled; the guards are pairwise exclusive).  All arithmetic is
+  // uint32 with wrap-around, so every int32 register — corrupted ones
+  // included — folds exactly as the scalar guards do, with no overflow:
   //
-  // The allCorrect fold doubles as the Gamma_1 vertex slice: for deg >= 1
-  // it already folds stab_v in, and an isolated vertex is locally
-  // legitimate iff stab_v — so (ac & stab_v) ^ 1 is exactly the violation
-  // score make_gamma1_checker() counts, accumulated here for free.
+  //   - x in init* = [-alpha, 0) iff x + alpha < alpha, unsigned.
+  //   - r_v in init*: only CA can fire (NA needs r_v in stab, RA needs
+  //     r_v outside init), and the vertex violates Gamma_1.  CA needs
+  //     every r_u in init with r_v <= r_u, i.e. r_u in [r_v, 0], i.e.
+  //     r_u - r_v <= -r_v as an unsigned compare (r_u below r_v or above
+  //     0 wraps the difference past -r_v <= alpha).  This branch is the
+  //     whole guard pass while a run climbs the init tail after resets.
+  //   - Otherwise NA and allCorrect both require r_v and r_u in
+  //     stab = [0, K).  The difference of two stab values lies in
+  //     (-K, K), and since K < 2^31 the wrap-around difference
+  //     d = r_u - r_v is exact there, so
+  //       bar(r_u - r_v) <= 1  iff  d in {0, 1, 1 - K}            (fwd)
+  //       d_K(r_v, r_u) <= 1   iff  fwd or d in {-1, K - 1}       (near)
+  //     For registers outside stab, d is garbage but masked by the stab
+  //     bits.  r_v = 0 is the one init value on this side, and RA
+  //     excludes it.
+  //
+  // The allCorrect fold doubles as the Gamma_1 vertex slice: ac below
+  // carries stab_v, and an isolated vertex is locally legitimate iff
+  // stab_v — so ac ^ 1 is exactly the violation score
+  // make_gamma1_checker() counts, accumulated here for free.
   const ClockValue* c = cfg.column();
-  const std::int64_t k = proto.clock().k();
-  const std::int64_t alpha = proto.clock().alpha();
-  const std::int32_t* off = ctx.adj.offsets.data();
-  const VertexId* tg = ctx.adj.targets.data();
+  const auto k = static_cast<std::uint32_t>(proto.clock().k());
+  const auto alpha = static_cast<std::uint32_t>(proto.clock().alpha());
+  const std::uint32_t one_minus_k = 1u - k;
+  const std::uint32_t k_minus_one = k - 1u;
+  const std::int64_t* off = ctx.adj.offsets;
+  const VertexId* tg = ctx.adj.targets;
   std::int64_t total = 0;
   for (VertexId v = begin; v < end; ++v) {
-    const std::int64_t rv = c[static_cast<std::size_t>(v)];
-    const unsigned stab_v = static_cast<unsigned>(rv >= 0 && rv < k);
-    unsigned na = stab_v;                                          // NA
-    unsigned ca = static_cast<unsigned>(rv >= -alpha && rv < 0);   // CA
-    unsigned ac = 1;  // allCorrect_v (vacuously true when deg(v) = 0)
-    for (std::int32_t j = off[v]; j < off[v + 1]; ++j) {
-      const std::int64_t ru = c[static_cast<std::size_t>(tg[j])];
-      const unsigned stab_u = static_cast<unsigned>(ru >= 0 && ru < k);
-      std::int64_t d = ru - rv;  // bar(ru - rv)
-      if (d >= k || d <= -k) [[unlikely]] d %= k;
-      d += k & -static_cast<std::int64_t>(d < 0);
-      const std::int64_t dist = d <= k - d ? d : k - d;  // d_K(rv, ru)
-      na &= stab_u & static_cast<unsigned>(d <= 1);
-      ca &= static_cast<unsigned>(ru >= -alpha && ru <= 0 && rv <= ru);
-      ac &= stab_v & stab_u & static_cast<unsigned>(dist <= 1);
+    const auto rv = static_cast<std::uint32_t>(c[static_cast<std::size_t>(v)]);
+    const std::int64_t lo = off[v];
+    const std::int64_t hi = off[v + 1];
+    if (rv + alpha < alpha) {
+      const std::uint32_t neg_rv = 0u - rv;
+      unsigned ca = 1;  // CA
+      for (std::int64_t j = lo; j < hi; ++j) {
+        const auto ru = static_cast<std::uint32_t>(c[tg[j]]);
+        ca &= static_cast<unsigned>(ru - rv <= neg_rv);
+      }
+      out[v] = static_cast<std::uint8_t>(ca);
+      ++total;
+      continue;
     }
-    const unsigned init_v = static_cast<unsigned>(rv >= -alpha && rv <= 0);
-    const unsigned ra = (ac ^ 1u) & (init_v ^ 1u);  // RA
-    out[v] = static_cast<std::uint8_t>(na | ca | ra);
-    total += (ac & stab_v) ^ 1u;
+    const unsigned stab_v = static_cast<unsigned>(rv < k);
+    unsigned na = stab_v;  // NA
+    unsigned ac = stab_v;  // allCorrect_v & stab_v
+    for (std::int64_t j = lo; j < hi; ++j) {
+      const auto ru = static_cast<std::uint32_t>(c[tg[j]]);
+      const unsigned stab_u = static_cast<unsigned>(ru < k);
+      const std::uint32_t d = ru - rv;
+      const unsigned fwd = static_cast<unsigned>(d <= 1u) |
+                           static_cast<unsigned>(d == one_minus_k);
+      const unsigned near = fwd | static_cast<unsigned>(d + 1u == 0u) |
+                            static_cast<unsigned>(d == k_minus_one);
+      na &= stab_u & fwd;
+      ac &= stab_u & near;
+    }
+    // allCorrect_v alone is vacuously true at degree 0.
+    const unsigned all_correct = ac | static_cast<unsigned>(lo == hi);
+    const unsigned ra =
+        (all_correct ^ 1u) & static_cast<unsigned>(rv != 0u);  // RA
+    out[v] = static_cast<std::uint8_t>(na | (ra << 1));
+    total += ac ^ 1u;
   }
   return total;
 }

@@ -88,17 +88,18 @@ class UnisonProtocol {
 };
 
 /// Vectorized guard kernel (vector engine opt-in, the guard analogue of
-/// a SoaFields split): NA / CA / RA evaluated in one branch-light pass
-/// over the clock column and the flattened adjacency, with the cherry
-/// clock's ring projection inlined as conditional folds.  The pass also
-/// yields the Gamma_1 violation count for free — the allCorrect fold is
-/// exactly local legitimacy — so the scored variant fuses the guard and
-/// legitimacy scans into one (see simd_eval.hpp).
+/// a SoaFields split): NA / CA / RA evaluated in one branch-light int32
+/// pass over the clock column and the graph's CSR arrays, writing the
+/// rule code that fires (1 = NA or CA, 2 = RA), so the dense path
+/// applies from it through successor() without re-deriving the guards.
+/// The pass also yields the Gamma_1 violation count for free — the
+/// allCorrect fold is exactly local legitimacy — so the scored variant
+/// fuses the guard and legitimacy scans into one (see simd_eval.hpp).
 template <>
 struct SimdEval<UnisonProtocol> {
   using ScoreKind = Gamma1ScoreKind;
   struct Context {
-    FlatAdjacency adj;
+    CsrView adj;
   };
   static Context make_context(const Graph& g, const UnisonProtocol&);
   static void enabled_bytes(const Context& ctx, const UnisonProtocol& proto,
@@ -109,6 +110,14 @@ struct SimdEval<UnisonProtocol> {
                                            const ConfigView<ClockValue>& cfg,
                                            std::uint8_t* out, VertexId begin,
                                            VertexId end);
+  /// apply() from the rule code: -alpha for RA, phi(own) for NA / CA
+  /// (own is in init* or stab there, so phi is +1 except at K - 1; own
+  /// is only incremented on that branch, so no register overflows).
+  static ClockValue successor(const UnisonProtocol& proto, ClockValue own,
+                              std::uint8_t code) {
+    if (code == 2) return proto.clock().reset_value();
+    return own == proto.clock().k() - 1 ? 0 : own + 1;
+  }
 };
 
 }  // namespace specstab

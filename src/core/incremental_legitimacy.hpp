@@ -99,10 +99,20 @@ class LocalScoreChecker {
       cached_[static_cast<std::size_t>(v)] = s;
       total_ += s;
     }
-    // Rebuilt every init: a checker instance may be reused across runs on
-    // graphs of different sizes (measure_convergence does).
-    if (radius_ > 0) expander_.emplace(g.n());
+    // Dropped every init: a checker instance may be reused across runs on
+    // graphs of different sizes (measure_convergence does).  The first
+    // ball update sizes a fresh one.
+    expander_.reset();
     return verdict_(total_);
+  }
+
+  /// init() from a gamma_0 total computed elsewhere (the fused initial
+  /// guard scan of a kernel with the matching ScoreKind): same verdict,
+  /// no per-vertex sweep.  The caches are left stale, exactly as after
+  /// accept_total(); the first incremental update rebuilds them.
+  bool init_from_total(const Graph&, std::int64_t total) {
+    expander_.reset();
+    return accept_total(total);
   }
 
   bool on_update(const Graph& g, const ConfigView<State>& cfg,
@@ -115,6 +125,7 @@ class LocalScoreChecker {
       return refresh_all(g, cfg);
     }
     if (cached_stale_) refresh_all(g, cfg);
+    if (radius_ > 0 && !expander_) expander_.emplace(g.n());
     const std::vector<VertexId>& affected =
         radius_ > 0 ? expander_->expand(g, touched, radius_) : touched;
     for (VertexId v : affected) rescore(g, cfg, v);
@@ -167,6 +178,9 @@ class LocalScoreChecker {
   /// fault-injection hook calls after a dense perturbation, so
   /// legitimacy counters can never go stale across a corruption.
   bool refresh_all(const Graph& g, const ConfigView<State>& cfg) {
+    // Sized here rather than relied on from init(): init_from_total()
+    // leaves the caches unsized until the first update needs them.
+    cached_.resize(static_cast<std::size_t>(g.n()));
     total_ = 0;
     for (VertexId v = 0; v < g.n(); ++v) {
       const std::int32_t s = score_(g, cfg, v);
@@ -255,6 +269,13 @@ class ClosureCounting {
     requires requires(C& c) { c.accept_total(total); }
   {
     return note(inner_.accept_total(total));
+  }
+  bool init_from_total(const Graph& g, std::int64_t total)
+    requires requires(C& c) { c.init_from_total(g, total); }
+  {
+    was_legit_ = false;
+    violations_ = 0;
+    return note(inner_.init_from_total(g, total));
   }
 
   // Forward the from-scratch rebuild (the fault-injection repair path)

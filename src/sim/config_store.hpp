@@ -426,6 +426,12 @@ class ConfigStore {
   // activated subrange lying inside [begin, end).  After dense_commit(),
   // prev_view() reads the pre-action configuration exactly as after
   // dense_apply().
+  //
+  // dense_map_range() is the fill for actions described per index rather
+  // than by an activated list (the parallel engine's whole-enabled-set
+  // steps): it writes next(i) for every i in [begin, end), one pass, in
+  // either layout.  Same range and concurrency rules as
+  // dense_fill_range(); `next` reads the still-live configuration.
 
   void dense_begin() {
     if constexpr (kStructSplit) {
@@ -459,6 +465,22 @@ class ConfigStore {
                         [&](std::size_t a, std::size_t i) {
                           next_data_[i] = staged[a];
                         });
+  }
+
+  template <class Next>
+  void dense_map_range(std::size_t begin, std::size_t end, Next&& next) {
+    if constexpr (kStructSplit) {
+      if (layout_ == ConfigLayout::kSoA) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const State s = next(i);
+          scatter_one(next_cols_, i, s);
+          if constexpr (kResidual) next_data_[i] = s;
+        }
+        return;
+      }
+    }
+    State* out = next_data_.data();
+    for (std::size_t i = begin; i < end; ++i) out[i] = next(i);
   }
 
   void dense_commit() {

@@ -53,7 +53,7 @@ void CentralRoundRobinDaemon::select_into(const Graph& g,
                                           StepIndex, ActionBuffer& out) {
   // First enabled vertex with id >= cursor, wrapping around.  The cursor
   // itself is still enabled in the common case (few guards flip per
-  // action under a central schedule), which the bitmap answers in O(1);
+  // action under a central schedule), which the mask words answer in O(1);
   // otherwise fall back to the successor search.
   VertexId chosen;
   if (cursor_ < g.n() && enabled.contains(cursor_)) {

@@ -18,10 +18,12 @@
 // Selection API: the engine calls select_into() once per action with a
 // caller-owned ActionBuffer that lives for the whole execution, so the
 // hot path allocates nothing in steady state.  The enabled set arrives as
-// an EnabledView — always the sorted vertex vector, plus an O(1)
-// membership bitmap when the caller maintains one (the incremental
-// engine's EnabledSet does) — which gives cursor daemons constant-time
-// advance in the common case.
+// an EnabledView — always the sorted vertex vector, plus the O(1)
+// membership mask words when the caller maintains them (the engines'
+// EnabledSet does) — which gives cursor daemons constant-time advance in
+// the common case.  A daemon whose every action is the whole enabled set
+// says so through activates_all_enabled(); the parallel engine then runs
+// such steps straight from its mask words without calling select_into().
 #ifndef SPECSTAB_SIM_DAEMON_HPP
 #define SPECSTAB_SIM_DAEMON_HPP
 
@@ -37,16 +39,17 @@
 
 namespace specstab {
 
-/// Read-only view of the enabled set: the sorted vertex vector plus an
-/// optional flat membership bitmap for O(1) contains().  Non-owning; valid
-/// only for the duration of one select_into() call.
+/// Read-only view of the enabled set: the sorted vertex vector plus
+/// optional 64-bit membership mask words (bit v % 64 of word v / 64 set
+/// iff v is enabled, zero past the last vertex) for O(1) contains().
+/// Non-owning; valid only for the duration of one select_into() call.
 class EnabledView {
  public:
   /* implicit */ EnabledView(const std::vector<VertexId>& sorted)
-      : sorted_(&sorted), bits_(nullptr) {}
+      : sorted_(&sorted), words_(nullptr) {}
   EnabledView(const std::vector<VertexId>& sorted,
-              const std::vector<char>& bits)
-      : sorted_(&sorted), bits_(&bits) {}
+              const std::vector<std::uint64_t>& words)
+      : sorted_(&sorted), words_(&words) {}
 
   [[nodiscard]] const std::vector<VertexId>& vertices() const {
     return *sorted_;
@@ -59,20 +62,19 @@ class EnabledView {
     return (*sorted_)[i];
   }
 
-  /// Membership test: O(1) via the bitmap when the caller provided one
-  /// (the incremental engine's EnabledSet), O(log n) binary search
-  /// otherwise.
+  /// Membership test: O(1) via the mask words when the caller provided
+  /// them (the engines' EnabledSet), O(log n) binary search otherwise.
   [[nodiscard]] bool contains(VertexId v) const {
-    if (bits_) {
+    if (words_) {
       const auto i = static_cast<std::size_t>(v);
-      return i < bits_->size() && (*bits_)[i] != 0;
+      return i / 64 < words_->size() && (((*words_)[i / 64] >> (i % 64)) & 1);
     }
     return std::binary_search(sorted_->begin(), sorted_->end(), v);
   }
 
  private:
   const std::vector<VertexId>* sorted_;
-  const std::vector<char>* bits_;  // optional O(1) membership
+  const std::vector<std::uint64_t>* words_;  // optional O(1) membership
 };
 
 /// Per-vertex scratch flags with O(1) amortized clearing via version
@@ -134,6 +136,14 @@ class Daemon {
   /// Human-readable name for reports.
   [[nodiscard]] virtual std::string name() const = 0;
 
+  /// True when every select_into() call is a pure copy of the enabled
+  /// set that changes no daemon state (no cursor moves, no RNG draws).
+  /// A property of the daemon's definition, not a run option: the
+  /// parallel engine then skips select_into() on dense steps and drives
+  /// the action from the enabled set's mask words, which must not change
+  /// what any later call returns.
+  [[nodiscard]] virtual bool activates_all_enabled() const { return false; }
+
   /// Restores the daemon's initial internal state (cursor, RNG) so the
   /// same instance can drive several executions reproducibly.
   virtual void reset() {}
@@ -145,11 +155,12 @@ class SynchronousDaemon final : public Daemon {
   void select_into(const Graph&, const EnabledView& e, StepIndex,
                    ActionBuffer& out) override;
   [[nodiscard]] std::string name() const override { return "synchronous"; }
+  [[nodiscard]] bool activates_all_enabled() const override { return true; }
 };
 
 /// cd variant: activates the single enabled vertex next in id order after
 /// the previously activated one (fair central schedule).  Advance is O(1)
-/// when the cursor's vertex is still enabled (bitmap hit on the
+/// when the cursor's vertex is still enabled (mask-word hit on the
 /// incremental EnabledSet); O(log n) successor search otherwise.
 class CentralRoundRobinDaemon final : public Daemon {
  public:
@@ -211,6 +222,10 @@ class DistributedBernoulliDaemon final : public Daemon {
   void select_into(const Graph&, const EnabledView& e, StepIndex,
                    ActionBuffer& out) override;
   [[nodiscard]] std::string name() const override;
+  /// p = 1 selects everything without drawing (see select_into()).
+  [[nodiscard]] bool activates_all_enabled() const override {
+    return p_ >= 1.0;
+  }
   void reset() override { rng_.seed(seed_); }
 
  private:

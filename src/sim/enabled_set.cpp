@@ -36,15 +36,37 @@ const std::vector<VertexId>& NeighborhoodExpander::expand(
   return out_;
 }
 
+namespace {
+
+/// Appends the vertices of mask words [first, last) to dst in ascending
+/// order; returns the advanced write pointer.
+VertexId* decode_words(const std::uint64_t* words, std::size_t first,
+                       std::size_t last, VertexId* dst) {
+  for (std::size_t w = first; w < last; ++w) {
+    std::uint64_t mask = words[w];
+    const auto base = static_cast<VertexId>(w * 64);
+    while (mask != 0) {
+      const int b = std::countr_zero(mask);
+      mask &= mask - 1;
+      *dst++ = base + b;
+    }
+  }
+  return dst;
+}
+
+}  // namespace
+
 void EnabledSet::reset(VertexId n) {
-  bits_.assign(static_cast<std::size_t>(n), 0);
   vertices_.clear();
   scratch_.clear();
   added_.clear();
   removed_.clear();
+  count_ = 0;
+  stale_ = false;
   // No staged set exceeds n vertices; reserving up front keeps the
-  // rebuild, staging and merge paths allocation-free for the whole run
-  // (the bitmap above is O(n) memory already).
+  // rebuild, staging and merge paths allocation-free for the whole run.
+  // A reservation is only address space until a path writes into it, so
+  // runs that never read the sorted vector never pay its memory.
   vertices_.reserve(static_cast<std::size_t>(n));
   scratch_.reserve(static_cast<std::size_t>(n));
   added_.reserve(static_cast<std::size_t>(n));
@@ -64,9 +86,6 @@ std::size_t EnabledSet::fill_words(VertexId begin, VertexId end,
     words_[static_cast<std::size_t>(base) / 64] = mask;
     count += static_cast<std::size_t>(std::popcount(mask));
   }
-  for (VertexId v = begin; v < end; ++v) {
-    bits_[static_cast<std::size_t>(v)] = verdicts[v] != 0;
-  }
   return count;
 }
 
@@ -79,57 +98,78 @@ void EnabledSet::prepare_scatter(const std::vector<std::size_t>& counts,
   }
   // Within the reset() reservation: no shard rebuild exceeds n vertices.
   vertices_.resize(offsets.back());
+  count_ = offsets.back();
+  stale_ = false;
 }
 
 void EnabledSet::scatter_words(VertexId begin, VertexId end,
                                std::size_t offset) {
   assert((begin % 64 == 0 || begin == end) && begin <= end);
-  VertexId* dst = vertices_.data() + offset;
-  for (VertexId base = begin; base < end; base += 64) {
-    std::uint64_t mask = words_[static_cast<std::size_t>(base) / 64];
-    while (mask != 0) {
-      const int b = std::countr_zero(mask);
-      mask &= mask - 1;
-      *dst++ = base + b;
-    }
-  }
+  const auto first = static_cast<std::size_t>(begin) / 64;
+  const auto last = (static_cast<std::size_t>(end) + 63) / 64;
+  decode_words(words_.data(), first, begin < end ? last : first,
+               vertices_.data() + offset);
+}
+
+void EnabledSet::decode() const {
+  vertices_.resize(count_);
+  [[maybe_unused]] const VertexId* end =
+      decode_words(words_.data(), 0, words_.size(), vertices_.data());
+  assert(end == vertices_.data() + vertices_.size());
+  stale_ = false;
 }
 
 void EnabledSet::assign(const std::vector<VertexId>& sorted_enabled) {
-  std::fill(bits_.begin(), bits_.end(), 0);
-  for (VertexId v : sorted_enabled) bits_[static_cast<std::size_t>(v)] = 1;
+  std::fill(words_.begin(), words_.end(), 0);
+  for (VertexId v : sorted_enabled) {
+    const auto i = static_cast<std::size_t>(v);
+    words_[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
   // Copy into the reserved buffer — moving the argument in would replace
   // it with a smaller allocation and re-introduce mid-run growth.
   vertices_.assign(sorted_enabled.begin(), sorted_enabled.end());
+  count_ = vertices_.size();
+  stale_ = false;
 }
 
 void EnabledSet::begin_update() {
+  // The staged edits below patch the sorted vector, so it must be
+  // current first.
+  if (stale_) decode();
   added_.clear();
   removed_.clear();
 }
 
 void EnabledSet::begin_rebuild() {
-  std::fill(bits_.begin(), bits_.end(), 0);
+  std::fill(words_.begin(), words_.end(), 0);
   scratch_.clear();
 }
 
+void EnabledSet::end_rebuild() {
+  vertices_.swap(scratch_);
+  count_ = vertices_.size();
+  stale_ = false;
+}
+
 void EnabledSet::note(VertexId v, bool enabled_now) {
-  char& bit = bits_[static_cast<std::size_t>(v)];
-  if ((bit != 0) == enabled_now) return;
-  bit = enabled_now ? 1 : 0;
+  const auto i = static_cast<std::size_t>(v);
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if (((words_[i / 64] & bit) != 0) == enabled_now) return;
+  words_[i / 64] ^= bit;
   (enabled_now ? added_ : removed_).push_back(v);
 }
 
 bool EnabledSet::commit() {
   if (added_.empty() && removed_.empty()) return false;
+  count_ = count_ + added_.size() - removed_.size();
   if (added_.size() + removed_.size() <= 8) {
     // The common case under central daemons: a couple of flips per
     // action.  Binary search + memmove beats a full merge pass.
     //
     // The asserts hold the staging contract: removed_ must be a subset
     // of vertices_ and added_ disjoint from it (note() keeps both in
-    // lockstep with the bitmap).  A breach — e.g. a caller desyncing
-    // the bitmap from the vector — would otherwise erase the wrong
+    // lockstep with the mask words).  A breach — e.g. a caller desyncing
+    // the words from the vector — would otherwise erase the wrong
     // vertex or end(), which is UB, not a detectable failure.
     for (VertexId v : removed_) {
       const auto it =
@@ -170,16 +210,18 @@ bool EnabledSet::apply_delta(const std::vector<VertexId>& added,
                              const std::vector<VertexId>& removed) {
   // The parallel engine's merged shard deltas arrive pre-sorted and
   // pre-deduplicated (each vertex's fresh verdict was computed against
-  // the pre-step bitmap exactly once), so staging them through the
+  // the pre-step words exactly once), so staging them through the
   // note() path reuses the small-flip/linear-merge machinery — and the
   // commit() asserts — unchanged.
   begin_update();
   for (const VertexId v : added) {
-    bits_[static_cast<std::size_t>(v)] = 1;
+    const auto i = static_cast<std::size_t>(v);
+    words_[i / 64] |= std::uint64_t{1} << (i % 64);
     added_.push_back(v);
   }
   for (const VertexId v : removed) {
-    bits_[static_cast<std::size_t>(v)] = 0;
+    const auto i = static_cast<std::size_t>(v);
+    words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
     removed_.push_back(v);
   }
   return commit();

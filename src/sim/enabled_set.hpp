@@ -1,11 +1,13 @@
 // Shared engine support: the enabled-set container, the dirty-ball
 // expander and the incremental-checker concepts.
 //
-// Both non-reference engines maintain the enabled set behind EnabledSet
-// (a flat membership bitmap plus a sorted vector).  The incremental
+// The non-reference engines maintain the enabled set behind EnabledSet
+// (64-bit membership mask words plus a sorted vector).  The incremental
 // engine edits it by staged per-vertex flips (note()/commit()) or a
 // scalar rebuild (append()); the vector engine rebuilds it from packed
-// guard-verdict words (append_mask(), 64 verdicts per word).  The
+// guard-verdict words (append_mask(), 64 verdicts per word); the
+// parallel engine fills the words shard by shard and decodes the sorted
+// vector only when something reads it (fill_words()/end_fill()).  The
 // IncrementalLegitimacy / HasBallUpdate concepts describe the checker
 // objects both engines drive (see core/incremental_legitimacy.hpp for
 // the concrete checkers).
@@ -119,11 +121,18 @@ class NeighborhoodExpander {
   std::vector<VertexId> out_, frontier_, next_;
 };
 
-/// The enabled set as a flat membership bitmap plus a sorted vector.
-/// Updates are staged per dirty vertex (note(), in ascending vertex
-/// order) and applied by commit(): a handful of flips edit the sorted
-/// vector in place (binary search + memmove), larger batches take one
-/// linear merge pass.
+/// The enabled set as 64-bit membership mask words (bit v % 64 of word
+/// v / 64, zero past the last vertex) plus a sorted vector.  Updates are
+/// staged per dirty vertex (note(), in ascending vertex order) and
+/// applied by commit(): a handful of flips edit the sorted vector in
+/// place (binary search + memmove), larger batches take one linear merge
+/// pass.
+///
+/// The sorted vector may lag the words: after a sharded fill
+/// (fill_words() + end_fill()) only the words and the count are current,
+/// and the vector is decoded from the words the first time something
+/// reads it — vertices(), view(), or any staged update.  contains(),
+/// size() and empty() never decode.
 class EnabledSet {
  public:
   void reset(VertexId n);
@@ -131,13 +140,25 @@ class EnabledSet {
   /// Installs the full enabled set (sorted), e.g. from the initial scan.
   void assign(const std::vector<VertexId>& sorted_enabled);
 
-  [[nodiscard]] bool empty() const { return vertices_.empty(); }
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] bool contains(VertexId v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return ((words_[i / 64] >> (i % 64)) & 1) != 0;
+  }
+
+  /// The sorted vector, decoded from the mask words first when a sharded
+  /// fill left it stale.  Decoding writes, so a stale set must not be
+  /// read this way from several threads at once.
   [[nodiscard]] const std::vector<VertexId>& vertices() const {
+    if (stale_) decode();
     return vertices_;
   }
-  /// Daemon-facing view: the sorted vector plus the membership bitmap,
-  /// which gives cursor daemons O(1) contains() (see EnabledView).
-  [[nodiscard]] EnabledView view() const { return {vertices_, bits_}; }
+  /// Whether vertices() is current without decoding.
+  [[nodiscard]] bool sorted_current() const { return !stale_; }
+  /// Daemon-facing view: the sorted vector plus the mask words, which
+  /// give cursor daemons O(1) contains() (see EnabledView).
+  [[nodiscard]] EnabledView view() const { return {vertices(), words_}; }
 
   void begin_update();
   /// Records the fresh guard verdict of a dirty vertex.  Must be called
@@ -157,12 +178,13 @@ class EnabledSet {
 
   /// Dense-path rebuild: when an action dirties most of the graph the
   /// flip staging above degenerates (per-vertex compare-and-stage plus a
-  /// full merge); rebuilding from scratch is one bitmap clear plus one
+  /// full merge); rebuilding from scratch is one word clear plus one
   /// append per enabled vertex.  Call append() in ascending vertex order
   /// between begin_rebuild() and end_rebuild().
   void begin_rebuild();
   void append(VertexId v) {
-    bits_[static_cast<std::size_t>(v)] = 1;
+    const auto i = static_cast<std::size_t>(v);
+    words_[i / 64] |= std::uint64_t{1} << (i % 64);
     scratch_.push_back(v);
   }
   /// Word-level bulk append for the vector engine's bitmask path: 64
@@ -170,51 +192,63 @@ class EnabledSet {
   /// base + b.  `base` must be a multiple of 64, calls must proceed in
   /// ascending base order between begin_rebuild() and end_rebuild(), and
   /// bits past the last vertex must be zero in the trailing (partial)
-  /// word.  Each set bit costs one count-trailing-zeros, so sparse words
-  /// are near-free and the membership bitmap and sorted vector stay in
-  /// lockstep with the scalar append() path.
+  /// word.  The word is stored as is; each set bit costs one
+  /// count-trailing-zeros for the sorted vector, so sparse words are
+  /// near-free.
   void append_mask(VertexId base, std::uint64_t mask) {
     assert(base % 64 == 0);
+    words_[static_cast<std::size_t>(base) / 64] = mask;
     while (mask != 0) {
       const int b = std::countr_zero(mask);
       mask &= mask - 1;
-      append(base + b);
+      scratch_.push_back(base + b);
     }
   }
-  void end_rebuild() { vertices_.swap(scratch_); }
+  void end_rebuild();
 
   // --- Sharded dense rebuild (parallel engine) ---------------------------
   //
   // The fused dense path rebuilds the whole set from per-shard guard
-  // verdicts with no sequential concatenation.  Shard ranges must
-  // partition [0, n) with every interior boundary a multiple of 64, so
-  // shards touch disjoint mask words and disjoint bitmap bytes:
+  // verdicts with no sequential pass.  Shard ranges must partition
+  // [0, n) with every interior boundary a multiple of 64, so shards
+  // touch disjoint mask words:
   //
   //   1. each shard calls fill_words(begin, end, verdicts) over its own
   //      range (verdicts indexed by absolute vertex id, padded to a
   //      64-byte multiple with zeros past the last vertex) and keeps the
   //      returned enabled count;
-  //   2. one thread calls prepare_scatter(counts, offsets) — a prefix
-  //      sum over the shard counts plus the sorted-vector resize (within
-  //      the reset() reservation, so allocation-free);
-  //   3. each shard calls scatter_words(begin, end, offsets[k]) to
-  //      decode its words into its slice of the sorted vector.
+  //   2. one thread calls end_fill(total) — membership and size are
+  //      current from here on, the sorted vector is stale;
+  //   3. only if the sorted vector is wanted before the next fill: one
+  //      thread calls prepare_scatter(counts, offsets) — a prefix sum
+  //      over the shard counts plus the sorted-vector resize (within the
+  //      reset() reservation, so allocation-free) — and each shard calls
+  //      scatter_words(begin, end, offsets[k]) to decode its words into
+  //      its slice.  Skipping this step leaves vertices() to decode
+  //      sequentially on first read.
   //
   // Concurrent fill/scatter calls on distinct ranges are data-race-free
   // by construction (disjoint writes, no size changes); the resulting
-  // bitmap and sorted vector are identical to an ordered append() sweep
+  // words and sorted vector are identical to an ordered append() sweep
   // of the same verdicts.
 
-  /// Packs verdicts[begin..end) into mask words and the membership
-  /// bitmap; returns the number of enabled vertices in the range.
-  /// `begin` must be a multiple of 64 unless the range is empty (the
-  /// trailing empty shards of a small graph start at n); `end` must be
-  /// the next shard's begin or n.
+  /// Packs verdicts[begin..end) into mask words; returns the number of
+  /// enabled vertices in the range.  `begin` must be a multiple of 64
+  /// unless the range is empty (the trailing empty shards of a small
+  /// graph start at n); `end` must be the next shard's begin or n.
   std::size_t fill_words(VertexId begin, VertexId end,
                          const std::uint8_t* verdicts);
 
+  /// Publishes a complete sharded fill of `count` enabled vertices and
+  /// marks the sorted vector stale.
+  void end_fill(std::size_t count) {
+    count_ = count;
+    stale_ = true;
+  }
+
   /// Prefix-sums the per-shard counts into `offsets` (size counts.size()
-  /// + 1) and sizes the sorted vector for scatter_words().
+  /// + 1) and sizes the sorted vector for scatter_words(); the vector is
+  /// current once every shard has scattered.
   void prepare_scatter(const std::vector<std::size_t>& counts,
                        std::vector<std::size_t>& offsets);
 
@@ -223,9 +257,14 @@ class EnabledSet {
   void scatter_words(VertexId begin, VertexId end, std::size_t offset);
 
  private:
-  std::vector<char> bits_;
-  std::vector<VertexId> vertices_, scratch_, added_, removed_;
-  std::vector<std::uint64_t> words_;  ///< sharded-rebuild mask words
+  /// Sequential decode of every mask word into the sorted vector.
+  void decode() const;
+
+  std::vector<std::uint64_t> words_;  ///< membership, one bit per vertex
+  mutable std::vector<VertexId> vertices_;
+  std::vector<VertexId> scratch_, added_, removed_;
+  std::size_t count_ = 0;
+  mutable bool stale_ = false;  ///< vertices_ lags words_
 };
 
 }  // namespace specstab

@@ -9,7 +9,7 @@
 // status of vertices in the radius-r ball around A.  This engine exploits
 // that invariant:
 //
-//   - the enabled set is a flat membership bitmap plus a sorted vector
+//   - the enabled set is 64-bit membership mask words plus a sorted vector
 //     (EnabledSet), updated after each action by re-testing guards only
 //     for the dirty ball B(A, r) and merging the flips in one linear
 //     pass;
@@ -20,7 +20,7 @@
 //     for the concrete checkers (Gamma_1, spec_ME, single-token, ...).
 //
 // The dirty-set invariant both sides maintain: between actions, the
-// EnabledSet bitmap equals { v : proto.enabled(g, cfg, v) } and the
+// EnabledSet membership equals { v : proto.enabled(g, cfg, v) } and the
 // checker's cached verdict equals the from-scratch predicate.  The
 // differential harness (tests/engine_differential_test.cpp) asserts
 // run_execution_incremental() and run_execution() produce bit-identical
@@ -151,6 +151,7 @@ RunResult<typename P::State> run_execution_incremental(
     // The daemon writes into the loop-owned scratch buffer (sorted, per
     // the select_into contract) — the whole action below runs without
     // allocating once the buffers reach their high-water capacity.
+    const std::size_t enabled_before = enabled.size();
     daemon.select_into(g, enabled.view(), res.steps, action);
     const std::vector<VertexId>& activated = action.active;
     assert(std::is_sorted(activated.begin(), activated.end()));
@@ -198,11 +199,12 @@ RunResult<typename P::State> run_execution_incremental(
     ++res.steps;
     if (res.first_legitimate >= 0) ++since_convergence;
 
-    // The round counter reads the pre-action enabled set only at round
-    // boundaries; snapshot it there (once per round) so the sorted
+    // The round counter reads the pre-action enabled set only when a
+    // partial action opens a round; snapshot it then, so the sorted
     // vector can be edited in place below.
-    const bool opening_round = !rc.round_open();
-    if (opening_round) round_base = enabled.vertices();
+    const bool by_count =
+        rc.counts_full_action(enabled_before, activated.size());
+    if (!by_count && !rc.round_open()) round_base = enabled.vertices();
 
     // Only guards inside the radius-r ball around the activated vertices
     // can have flipped.  When the action touches most of the graph
@@ -231,8 +233,11 @@ RunResult<typename P::State> run_execution_incremental(
       }
       enabled.commit();
     }
-    rc.on_action(opening_round ? round_base : enabled.vertices(), activated,
-                 enabled.vertices());
+    if (by_count) {
+      rc.on_full_action();
+    } else {
+      rc.on_action(round_base, activated, enabled.vertices());
+    }
 
     note_legitimacy(res.steps, checker_legit);
   }

@@ -18,31 +18,46 @@
 //
 //   1. *apply + install* — shard k computes the successor states of the
 //      activated vertices in its range against the pre-action
-//      configuration and merges them straight into the ConfigStore's
-//      inactive double buffers over its own column segment
-//      (dense_fill_range); one barrier, then a sequential O(1) buffer
-//      swap (dense_commit) publishes the post-action configuration.
-//      When the kernel's verdict bytes are rule codes (SimdEval
-//      successor(), simd_eval.hpp) and still describe the live
-//      configuration, a successor is the vertex's own state advanced by
-//      its code — the guards are not evaluated a second time;
+//      configuration and writes them straight into the ConfigStore's
+//      inactive double buffers over its own column segment; one
+//      barrier, then a sequential O(1) buffer swap (dense_commit)
+//      publishes the post-action configuration.  When the kernel's
+//      verdict bytes are rule codes (SimdEval successor(),
+//      simd_eval.hpp) and still describe the live configuration, a
+//      successor is the vertex's own state advanced by its code — the
+//      guards are not evaluated a second time;
 //   2. *fused guard rescan* — shard k evaluates its vertex range through
 //      the protocol's SimdEval kernel (simd_eval.hpp; scalar sweep for
 //      protocols without one), packs the verdict bytes into the
-//      EnabledSet's mask words and bitmap (fill_words — disjoint words
-//      by the 64-alignment), and, when the kernel and checker share a
+//      EnabledSet's mask words (fill_words — disjoint words by the
+//      64-alignment), and, when the kernel and checker share a
 //      ScoreKind, accumulates its partial violation total; the totals
 //      merge at the barrier into one checker.accept_total() call, so
 //      neither the enabled set nor the legitimacy verdict needs a
-//      sequential pass;
-//   3. *scatter* — after a sequential prefix sum over the per-shard
-//      enabled counts (prepare_scatter), shard k decodes its mask words
-//      into its slice of the sorted enabled vector (scatter_words) —
-//      the old sequential delta-concatenation/merge pass is gone.
+//      sequential pass.  Only the words and the count are published
+//      (end_fill); the sorted enabled vector goes stale;
+//   3. *scatter*, on demand — when something reads the sorted vector (a
+//      daemon that chooses, the sparse path, a fault epoch, the round
+//      counter while a round is open), a prefix sum over the per-shard
+//      counts (prepare_scatter) and one phase in which shard k decodes
+//      its words into its slice (scatter_words) bring it up to date.
 //
-//   The initial enabled set comes from the same sharded rescan +
-//   scatter, so the first dense step applies from codes too.
+//   *Full-set steps* are dense steps whose action is the whole enabled
+//   set: the daemon says so (Daemon::activates_all_enabled()), the
+//   checker takes fused totals, and no observer or trace wants the
+//   vertex list.  The engine skips select_into() and builds no list:
+//   in phase 1 shard k walks [bounds[k], bounds[k+1]) once
+//   (ConfigStore::dense_map_range), writing own + code, or apply() on
+//   the set bits of its mask words while the codes are stale; phase 2
+//   follows, phase 3 does not run, and the round closes by count
+//   (RoundCounter::on_full_action).  Other dense steps install from the
+//   sorted activation list (dense_fill_range).
 //
+//   The initial enabled set comes from the same sharded rescan, so the
+//   first dense step applies from codes too, and with a fused checker
+//   its total is gamma_0's verdict (init_from_total).  A dense fault
+//   epoch is repaired by the same rescan.
+
 //   *sparse steps* keep the delta path: successor states computed in
 //   parallel and installed sequentially via set(); each shard re-tests
 //   the activations whose radius-r balls stay inside its range (per-shard
@@ -69,7 +84,6 @@
 #include <functional>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -215,7 +229,6 @@ RunResult<typename P::State> run_execution_parallel(
   };
 
   if (opt.record_trace) res.trace.start(live);
-  note_legitimacy(0, checker.init(g, live));
 
   EnabledSet enabled;
   enabled.reset(g.n());
@@ -238,25 +251,20 @@ RunResult<typename P::State> run_execution_parallel(
     pool->run(shards, fn);
   };
 
-  // Whether the guard kernel can hand its fused violation total straight
-  // to this run's checker on dense steps: kernel and checker must name
-  // the same (non-void) score definition.  See simd_eval.hpp.
-  constexpr bool kFusedScore = [] {
-    if constexpr (HasScoredSimdEval<P>) {
-      using KernelKind = typename SimdEval<P>::ScoreKind;
-      return !std::is_void_v<KernelKind> &&
-             std::is_same_v<KernelKind, typename ScoreKindOf<C>::type> &&
-             requires(C& c) {
-               { c.accept_total(std::int64_t{}) } -> std::same_as<bool>;
-             };
-    } else {
-      return false;
-    }
-  }();
+  // Whether the guard kernel hands its fused violation totals straight
+  // to this run's checker (see kFusedScore in simd_eval.hpp).
+  constexpr bool kFused = kFusedScore<P, C>;
 
   // Whether the kernel's verdict bytes are rule codes that the dense
   // install can apply from (see simd_eval.hpp).
   constexpr bool kRuleCodes = HasRuleCodeSimdEval<P>;
+
+  // Whether a dense step may run as a full-set step: the daemon's action
+  // is the whole enabled set by definition, and nothing reads it as a
+  // vertex list — no observer, no trace, and a checker that takes the
+  // fused total instead of the touched vertices.
+  const bool full_set_daemon =
+      daemon.activates_all_enabled() && !observer && !opt.record_trace;
 
   // Shared guard-kernel state (context + padded verdict bytes): shards
   // write disjoint verdict ranges, so one buffer serves all of them.
@@ -264,9 +272,9 @@ RunResult<typename P::State> run_execution_parallel(
   // Flush the graph's staged edges before any worker reads adjacency.
   (void)g.csr();
   // True while kernel.verdicts holds the guard verdicts of the live
-  // configuration: after the initial scan and after every dense rescan,
-  // but not after a sparse re-test or a fault epoch, which re-test balls
-  // through proto.enabled() only.
+  // configuration: after every dense rescan (the initial scan and dense
+  // fault epochs included), but not after a sparse re-test or a sparse
+  // fault epoch, which re-test balls through proto.enabled() only.
   bool verdicts_live = false;
 
   // Sparse-path scratch, allocated on the first sparse step or fault
@@ -302,12 +310,40 @@ RunResult<typename P::State> run_execution_parallel(
   // re-allocates closures; per-step state flows through the captured
   // locals above.
 
-  // Dense phase 1 — fused apply + install: shard k stages the successor
-  // states of its activated slice and merges its column segment of the
-  // inactive double buffers.  While the verdict buffer is live, the
-  // successors come from the rule codes (own state + code, no guard
-  // re-evaluation); otherwise from proto.apply().  No cross-shard reads:
-  // the live buffers are immutable until dense_commit().
+  // Full-set install: the action is the whole enabled set, so shard k
+  // walks its vertex range once and writes every successor straight
+  // into the inactive double buffers.  While the verdict buffer is live
+  // a successor is the vertex's own state advanced by its rule code (0 =
+  // disabled, the state carries over); otherwise proto.apply() runs on
+  // the set bits of the shard's mask words.
+  const std::function<void(std::size_t)> full_install_phase =
+      [&](std::size_t k) {
+        const auto lo = static_cast<std::size_t>(bounds[k]);
+        const auto hi = static_cast<std::size_t>(bounds[k + 1]);
+        if constexpr (kRuleCodes) {
+          if (verdicts_live) {
+            const std::uint8_t* code = kernel.verdicts.data();
+            cfg.dense_map_range(lo, hi, [&](std::size_t i) {
+              const State own = live.get(i);
+              return code[i] != 0
+                         ? SimdEval<P>::successor(proto, own, code[i])
+                         : own;
+            });
+            return;
+          }
+        }
+        cfg.dense_map_range(lo, hi, [&](std::size_t i) {
+          const auto v = static_cast<VertexId>(i);
+          return enabled.contains(v) ? proto.apply(g, live, v) : live.get(i);
+        });
+      };
+
+  // Partial dense install: shard k stages the successor states of its
+  // activated slice and merges its column segment of the inactive double
+  // buffers.  While the verdict buffer is live, the successors come from
+  // the rule codes (own state + code, no guard re-evaluation); otherwise
+  // from proto.apply().  No cross-shard reads: the live buffers are
+  // immutable until dense_commit().
   const std::function<void(std::size_t)> dense_install_phase =
       [&](std::size_t k) {
         const auto a_lo = static_cast<std::size_t>(
@@ -333,20 +369,19 @@ RunResult<typename P::State> run_execution_parallel(
                              static_cast<std::size_t>(bounds[k + 1]));
       };
 
-  // Dense phase 2 — fused guard rescan over the shard's vertex range:
-  // SimdEval kernel (or scalar sweep) into the shared verdict buffer,
-  // packed into the shard's own mask words, partial score total kept.
+  // Dense rescan over the shard's vertex range: SimdEval kernel (or
+  // scalar sweep) into the shared verdict buffer, packed into the
+  // shard's own mask words, partial score total kept.
   const std::function<void(std::size_t)> dense_rescan_phase =
       [&](std::size_t k) {
         const VertexId lo = bounds[k];
         const VertexId hi = bounds[k + 1];
-        shard_scores[k] =
-            fill_verdicts<kFusedScore>(kernel, g, proto, live, lo, hi);
+        shard_scores[k] = fill_verdicts<kFused>(kernel, g, proto, live, lo, hi);
         shard_counts[k] = enabled.fill_words(lo, hi, kernel.verdicts.data());
       };
 
-  // Dense phase 3 — scatter the shard's words into its slice of the
-  // sorted enabled vector.
+  // On-demand scatter: the shard's words into its slice of the sorted
+  // enabled vector.
   const std::function<void(std::size_t)> dense_scatter_phase =
       [&](std::size_t k) {
         enabled.scatter_words(bounds[k], bounds[k + 1], shard_offsets[k]);
@@ -364,14 +399,15 @@ RunResult<typename P::State> run_execution_parallel(
       };
 
   // Sparse re-test phase: shard k re-tests the activations in its range
-  // whose balls stay inside the range; the rest are deferred.
+  // whose balls stay inside the range; the rest are deferred.  Pre-step
+  // membership comes from the mask words (apply_delta runs after the
+  // barrier).
   const std::function<void(std::size_t)> sparse_retest_phase =
       [&](std::size_t k) {
         auto& sc = scratch[k];
         sc.added.clear();
         sc.removed.clear();
         sc.boundary.clear();
-        const EnabledView pre = enabled.view();
         const auto first = std::lower_bound(activated.begin(),
                                             activated.end(), bounds[k]);
         const auto last = std::lower_bound(activated.begin(),
@@ -389,7 +425,7 @@ RunResult<typename P::State> run_execution_parallel(
             if (stamp == step_gen) continue;
             stamp = step_gen;
             const bool now = proto.enabled(g, live, u);
-            if (now == pre.contains(u)) continue;
+            if (now == enabled.contains(u)) continue;
             (now ? sc.added : sc.removed).push_back(u);
           }
         }
@@ -397,21 +433,48 @@ RunResult<typename P::State> run_execution_parallel(
         std::sort(sc.removed.begin(), sc.removed.end());
       };
 
-  // The sharded rescan + scatter of the dense path, also the initial scan.
-  const auto dense_rescan = [&] {
+  // The sharded dense rescan: fresh verdicts and mask words, the enabled
+  // count, and the fused violation total (0 unless kFused).  The sorted
+  // vector is left stale until sort_enabled() or a read decodes it.
+  const auto dense_rescan = [&]() -> std::int64_t {
     run_shards(dense_rescan_phase);
+    std::size_t count = 0;
+    std::int64_t total = 0;
+    for (std::size_t k = 0; k < shards; ++k) {
+      count += shard_counts[k];
+      total += shard_scores[k];
+    }
+    enabled.end_fill(count);
+    verdicts_live = true;
+    return total;
+  };
+  // Decodes a stale sorted vector through the sharded scatter.  While
+  // the vector is stale the words are exactly those of the last fill
+  // (every other edit decodes first), so its shard counts still hold.
+  const auto sort_enabled = [&] {
+    if (enabled.sorted_current()) return;
     enabled.prepare_scatter(shard_counts, shard_offsets);
     run_shards(dense_scatter_phase);
-    verdicts_live = true;
   };
-  dense_rescan();
+
+  // Initial scan: the same sharded rescan, so the first dense step
+  // applies from codes too; with a fused checker it also yields gamma_0's
+  // verdict.
+  const std::int64_t initial_total = dense_rescan();
+  if constexpr (kFused) {
+    note_legitimacy(0, checker.init_from_total(g, initial_total));
+  } else {
+    (void)initial_total;
+    note_legitimacy(0, checker.init(g, live));
+  }
 
   StepIndex since_convergence = 0;
   while (res.steps < opt.max_steps) {
     // Fault injection: corruption and repair run sequentially (epochs are
     // rare; shard parallelism buys nothing on a k-vertex ball) and mirror
     // the incremental engine's repair exactly, so perturbed runs stay
-    // byte-identical at every thread count.
+    // byte-identical at every thread count.  A dense corruption is
+    // repaired by the sharded rescan instead.
     if (fault_plan && fault_plan->due(res.steps, enabled.empty())) {
       const Perturbation<State>& pert = fault_plan->fire(g, live, res.steps);
       if (opt.record_trace) {
@@ -428,14 +491,16 @@ RunResult<typename P::State> run_execution_parallel(
       bool checker_legit;
       if (is_dense_update(static_cast<std::int64_t>(pert.victims.size()),
                           radius, g)) {
-        enabled.begin_rebuild();
-        for (VertexId v = 0; v < g.n(); ++v) {
-          if (proto.enabled(g, live, v)) enabled.append(v);
+        const std::int64_t total = dense_rescan();
+        if constexpr (kFused) {
+          checker_legit = checker.accept_total(total);
+        } else {
+          (void)total;
+          checker_legit = fault_refresh_checker(checker, g, live, pert.victims);
         }
-        enabled.end_rebuild();
-        checker_legit = fault_refresh_checker(checker, g, live, pert.victims);
       } else {
         ensure_sparse_scratch();
+        sort_enabled();
         enabled.begin_update();
         const auto& dirty = fixup_expander->expand(g, pert.victims, radius);
         for (VertexId v : dirty) enabled.note(v, proto.enabled(g, live, v));
@@ -463,6 +528,29 @@ RunResult<typename P::State> run_execution_parallel(
       break;
     }
 
+    const std::size_t enabled_before = enabled.size();
+
+    // Full-set step: no daemon call, no vertex list — install from the
+    // codes (or the mask words), one O(1) buffer swap, the fused rescan,
+    // and the round closes by count.
+    if constexpr (kFused) {
+      if (full_set_daemon && !rc.round_open() &&
+          is_dense_update(static_cast<std::int64_t>(enabled_before), radius,
+                          g)) {
+        cfg.dense_begin();
+        run_shards(full_install_phase);
+        cfg.dense_commit();
+        res.moves += static_cast<std::int64_t>(enabled_before);
+        ++res.steps;
+        if (res.first_legitimate >= 0) ++since_convergence;
+        const bool checker_legit = checker.accept_total(dense_rescan());
+        rc.on_full_action();
+        note_legitimacy(res.steps, checker_legit);
+        continue;
+      }
+    }
+
+    sort_enabled();
     daemon.select_into(g, enabled.view(), res.steps, action);
     assert(std::is_sorted(activated.begin(), activated.end()));
     if (observer) observer(res.steps, live, activated);
@@ -505,20 +593,23 @@ RunResult<typename P::State> run_execution_parallel(
     ++res.steps;
     if (res.first_legitimate >= 0) ++since_convergence;
 
-    const bool opening_round = !rc.round_open();
-    if (opening_round) round_base = enabled.vertices();
+    // The round counter reads the pre-action enabled set only when a
+    // partial action opens a round; snapshot it then, before the re-test
+    // below replaces it.
+    const bool by_count =
+        rc.counts_full_action(enabled_before, activated.size());
+    if (!by_count && !rc.round_open()) round_base = enabled.vertices();
 
     // --- Guard re-test phase.
     bool checker_legit;
     if (dense) {
-      // Fused sharded rescan (phases 2-3 above); identical set contents
-      // to the incremental engine's ordered full rescan.
-      dense_rescan();
-      if constexpr (kFusedScore) {
-        std::int64_t total = 0;
-        for (std::size_t k = 0; k < shards; ++k) total += shard_scores[k];
+      // Sharded rescan; identical set contents to the incremental
+      // engine's ordered full rescan.
+      const std::int64_t total = dense_rescan();
+      if constexpr (kFused) {
         checker_legit = checker.accept_total(total);
       } else {
+        (void)total;
         checker_legit = checker.on_update(g, live, activated);
       }
     } else {
@@ -540,14 +631,13 @@ RunResult<typename P::State> run_execution_parallel(
                             scratch[k].boundary.end());
       }
       if (!boundary_all.empty()) {
-        const EnabledView pre = enabled.view();
         const auto& dirty = fixup_expander->expand(g, boundary_all, radius);
         for (VertexId u : dirty) {
           auto& stamp = touched[static_cast<std::size_t>(u)];
           if (stamp == step_gen) continue;
           stamp = step_gen;
           const bool now = proto.enabled(g, live, u);
-          if (now == pre.contains(u)) continue;
+          if (now == enabled.contains(u)) continue;
           (now ? fix_added : fix_removed).push_back(u);
         }
       }
@@ -582,8 +672,12 @@ RunResult<typename P::State> run_execution_parallel(
       checker_legit = checker.on_update(g, live, activated);
     }
 
-    rc.on_action(opening_round ? round_base : enabled.vertices(), activated,
-                 enabled.vertices());
+    if (by_count) {
+      rc.on_full_action();
+    } else {
+      sort_enabled();
+      rc.on_action(round_base, activated, enabled.vertices());
+    }
     note_legitimacy(res.steps, checker_legit);
   }
   res.hit_step_cap = !res.terminated && res.steps >= opt.max_steps;

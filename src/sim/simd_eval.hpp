@@ -46,10 +46,10 @@
 // state from its own register and its code instead of re-deriving the
 // guards through apply().  That is valid only while the verdict buffer
 // describes the live configuration — after the initial sharded scan and
-// after a dense rescan.  A sparse step or a fault epoch re-tests only a
-// ball through proto.enabled() and leaves the buffer stale, so the next
-// dense install falls back to proto.apply(); protocols without
-// successor() always take that path.
+// after a dense rescan (dense fault epochs included).  A sparse step or a
+// sparse fault epoch re-tests only a ball through proto.enabled() and
+// leaves the buffer stale, so the next dense install falls back to
+// proto.apply(); protocols without successor() always take that path.
 //
 // A specialization may also fuse the legitimacy scan into the guard
 // pass: declare a ScoreKind tag plus enabled_bytes_scored(), which
@@ -62,8 +62,10 @@
 // engines call the scored kernel once per action and hand the total
 // straight to the checker (LocalScoreChecker::accept_total), skipping
 // the separate full() column scan — one pass over the columns instead
-// of two.  With any other checker the engines use enabled_bytes() plus
-// the checker's own scan, so the fusion is pay-as-you-match.
+// of two.  The initial scan feeds gamma_0's total to
+// LocalScoreChecker::init_from_total the same way.  With any other
+// checker the engines use enabled_bytes() plus the checker's own scan,
+// so the fusion is pay-as-you-match.
 //
 // Protocols without a specialization run on the engines' scalar rescan
 // fallback (fill_verdicts() below), so the rescan engines stay
@@ -73,6 +75,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #if defined(__SSE2__) || defined(_M_X64)
@@ -181,6 +184,26 @@ concept HasScoredSimdEval =
       { SimdEval<P>::enabled_bytes_scored(ctx, p, cfg, out, begin, end) }
           -> std::same_as<std::int64_t>;
     };
+
+/// Whether a rescan engine running protocol P under checker C hands the
+/// guard kernel's fused violation total straight to the checker: kernel
+/// and checker must name the same (non-void) score definition, and the
+/// checker must take totals both for gamma_0 (init_from_total) and for
+/// every later configuration (accept_total).
+template <class P, class C>
+inline constexpr bool kFusedScore = [] {
+  if constexpr (HasScoredSimdEval<P>) {
+    using KernelKind = typename SimdEval<P>::ScoreKind;
+    return !std::is_void_v<KernelKind> &&
+           std::is_same_v<KernelKind, typename ScoreKindOf<C>::type> &&
+           requires(C& c, const Graph& g) {
+             { c.accept_total(std::int64_t{}) } -> std::same_as<bool>;
+             { c.init_from_total(g, std::int64_t{}) } -> std::same_as<bool>;
+           };
+  } else {
+    return false;
+  }
+}();
 
 // --- Shared kernel state -------------------------------------------------
 

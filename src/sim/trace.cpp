@@ -4,12 +4,12 @@
 
 namespace specstab {
 
-RoundCounter::RoundCounter(VertexId n)
-    : n_(n), pending_(static_cast<std::size_t>(n), 0) {}
+// pending_ is sized when the first round opens: runs whose every action
+// is full (synchronous daemons) never allocate it.
+RoundCounter::RoundCounter(VertexId n) : n_(n) {}
 
 void RoundCounter::reset() {
   round_open_ = false;
-  std::fill(pending_.begin(), pending_.end(), 0);
   pending_count_ = 0;
   rounds_ = 0;
 }
@@ -27,7 +27,7 @@ void RoundCounter::on_action(const std::vector<VertexId>& enabled_before,
   }
   if (!round_open_) {
     // Open a round on the pre-configuration's enabled set.
-    std::fill(pending_.begin(), pending_.end(), 0);
+    pending_.assign(static_cast<std::size_t>(n_), 0);
     pending_count_ = 0;
     for (VertexId v : enabled_before) {
       pending_[static_cast<std::size_t>(v)] = 1;

@@ -224,7 +224,9 @@ class DeltaTrace {
 };
 
 /// Incremental round counter fed with (enabled-before, activated,
-/// enabled-after) triples, one per action.
+/// enabled-after) triples, one per action — or, for an action that
+/// activates the whole enabled set at a round boundary, with nothing but
+/// the sizes (on_full_action()).
 class RoundCounter {
  public:
   explicit RoundCounter(VertexId n);
@@ -236,13 +238,25 @@ class RoundCounter {
                  const std::vector<VertexId>& activated,
                  const std::vector<VertexId>& enabled_after);
 
+  /// Whether an action activating `activated` of the `enabled_before`
+  /// vertices enabled before it is accounted by count alone: a full
+  /// action at a round boundary opens and closes its round at once, so
+  /// on_full_action() gives the same count as on_action() would.
+  [[nodiscard]] bool counts_full_action(std::size_t enabled_before,
+                                        std::size_t activated) const noexcept {
+    return !round_open_ && activated == enabled_before;
+  }
+
+  /// Accounts an action for which counts_full_action() holds.
+  void on_full_action() noexcept { ++rounds_; }
+
   /// Number of completed rounds so far.
   [[nodiscard]] StepIndex completed_rounds() const noexcept { return rounds_; }
 
-  /// True while a round is in progress.  When false, the next on_action()
-  /// reads `enabled_before` to open a round; when true, `enabled_before`
-  /// is ignored (callers tracking the enabled set incrementally only need
-  /// a snapshot at round boundaries).
+  /// True while a round is in progress.  on_action() reads
+  /// `enabled_before` only when no round is open and the action is not
+  /// counted by counts_full_action(), so engines that track the enabled
+  /// set incrementally snapshot it only then.
   [[nodiscard]] bool round_open() const noexcept { return round_open_; }
 
   void reset();

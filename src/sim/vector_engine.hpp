@@ -36,7 +36,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -90,23 +89,10 @@ RunResult<typename P::State> run_execution_vector(
   };
 
   if (opt.record_trace) res.trace.start(live);
-  note_legitimacy(0, checker.init(g, live));
 
-  // Whether the guard kernel can hand its fused violation total straight
-  // to this run's checker: the kernel and the checker must name the same
-  // (non-void) score definition.  See simd_eval.hpp.
-  constexpr bool kFusedScore = [] {
-    if constexpr (HasScoredSimdEval<P>) {
-      using KernelKind = typename SimdEval<P>::ScoreKind;
-      return !std::is_void_v<KernelKind> &&
-             std::is_same_v<KernelKind, typename ScoreKindOf<C>::type> &&
-             requires(C& c) {
-               { c.accept_total(std::int64_t{}) } -> std::same_as<bool>;
-             };
-    } else {
-      return false;
-    }
-  }();
+  // Whether the guard kernel hands its fused violation totals straight
+  // to this run's checker (see kFusedScore in simd_eval.hpp).
+  constexpr bool kFused = kFusedScore<P, C>;
 
   // Guard kernel state (shared with the parallel engine's fused dense
   // path): the protocol's kernel context plus the padded verdict-byte
@@ -119,10 +105,10 @@ RunResult<typename P::State> run_execution_vector(
   // One rescan routine for the whole run: guard verdicts through the
   // protocol's SimdEval kernel (a scalar sweep otherwise), packed into
   // EnabledSet words 64 at a time.  Returns the fused violation total
-  // (0 and unused unless kFusedScore).
+  // (0 and unused unless kFused).
   const auto rescan = [&]() -> std::int64_t {
     const std::int64_t total =
-        fill_verdicts<kFusedScore>(kernel, g, proto, live, 0, n);
+        fill_verdicts<kFused>(kernel, g, proto, live, 0, n);
     enabled.begin_rebuild();
     const std::uint8_t* verdicts = kernel.verdicts.data();
     for (VertexId base = 0; base < n; base += 64) {
@@ -131,10 +117,14 @@ RunResult<typename P::State> run_execution_vector(
     enabled.end_rebuild();
     return total;
   };
-  // Initial scan: the fused total is discarded — checker.init() above
-  // already evaluated gamma_0 (and a second note would double-count it
-  // in ClosureCounting).
-  (void)rescan();
+  // Initial scan; with a fused checker its total is gamma_0's verdict.
+  const std::int64_t initial_total = rescan();
+  if constexpr (kFused) {
+    note_legitimacy(0, checker.init_from_total(g, initial_total));
+  } else {
+    (void)initial_total;
+    note_legitimacy(0, checker.init(g, live));
+  }
 
   ActionBuffer action;
   std::vector<VertexId> round_base;
@@ -158,7 +148,7 @@ RunResult<typename P::State> run_execution_vector(
         cfg.set(static_cast<std::size_t>(pert.victims[i]), pert.values[i]);
       }
       const std::int64_t perturbed_total = rescan();
-      if constexpr (kFusedScore) {
+      if constexpr (kFused) {
         note_legitimacy(res.steps, checker.accept_total(perturbed_total));
       } else {
         (void)perturbed_total;
@@ -178,6 +168,7 @@ RunResult<typename P::State> run_execution_vector(
       break;
     }
 
+    const std::size_t enabled_before = enabled.size();
     daemon.select_into(g, enabled.view(), res.steps, action);
     const std::vector<VertexId>& activated = action.active;
     assert(std::is_sorted(activated.begin(), activated.end()));
@@ -224,17 +215,21 @@ RunResult<typename P::State> run_execution_vector(
     ++res.steps;
     if (res.first_legitimate >= 0) ++since_convergence;
 
-    // The round counter reads the pre-action enabled set only at round
-    // boundaries; snapshot it there (once per round) so the rescan can
+    // The round counter reads the pre-action enabled set only when a
+    // partial action opens a round; snapshot it then, so the rescan can
     // swap the sorted vector out from under it.
-    const bool opening_round = !rc.round_open();
-    if (opening_round) round_base = enabled.vertices();
+    const bool by_count =
+        rc.counts_full_action(enabled_before, activated.size());
+    if (!by_count && !rc.round_open()) round_base = enabled.vertices();
 
     const std::int64_t fused_total = rescan();
-    rc.on_action(opening_round ? round_base : enabled.vertices(), activated,
-                 enabled.vertices());
+    if (by_count) {
+      rc.on_full_action();
+    } else {
+      rc.on_action(round_base, activated, enabled.vertices());
+    }
 
-    if constexpr (kFusedScore) {
+    if constexpr (kFused) {
       note_legitimacy(res.steps, checker.accept_total(fused_total));
     } else {
       (void)fused_total;

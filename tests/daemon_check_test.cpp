@@ -160,8 +160,8 @@ TEST(DaemonCheckTest, AuditFlagsActivationOutsideEnabledSet) {
   DaemonAudit audit(inner, g.n());
   // Enabled = {1, 3, 5}; the breaching daemon will choose vertex 0.
   std::vector<VertexId> enabled_vec = {1, 3, 5};
-  std::vector<char> bits = {0, 1, 0, 1, 0, 1};
-  const EnabledView view(enabled_vec, bits);
+  std::vector<std::uint64_t> words = {0b101010};
+  const EnabledView view(enabled_vec, words);
   ActionBuffer buf;
   audit.select_into(g, view, 0, buf);
   EXPECT_EQ(buf.active, (std::vector<VertexId>{0}));
@@ -174,8 +174,8 @@ TEST(DaemonCheckTest, AuditFlagsUnsortedSelection) {
   ContractBreachingDaemon inner(ContractBreachingDaemon::Breach::kUnsorted);
   DaemonAudit audit(inner, g.n());
   std::vector<VertexId> enabled_vec = {1, 3, 5};
-  std::vector<char> bits = {0, 1, 0, 1, 0, 1};
-  const EnabledView view(enabled_vec, bits);
+  std::vector<std::uint64_t> words = {0b101010};
+  const EnabledView view(enabled_vec, words);
   ActionBuffer buf;
   audit.select_into(g, view, 0, buf);
   EXPECT_EQ(buf.active, (std::vector<VertexId>{5, 1}));

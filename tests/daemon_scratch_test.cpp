@@ -10,7 +10,7 @@
 //     allocation-free for every concrete daemon, and the incremental
 //     engine's whole action loop performs a step-count-independent
 //     number of allocations (i.e. zero per action in steady state);
-//   - the EnabledView bitmap fast path chooses exactly what the
+//   - the EnabledView mask-word fast path chooses exactly what the
 //     binary-search fallback chooses.
 //
 // The allocation guards replace the global operator new/delete of this
@@ -165,11 +165,14 @@ TEST(DaemonScratchTest, BitmapAndBinarySearchViewsAgree) {
   CentralRoundRobinDaemon with_bits, without_bits;
   PriorityCentralDaemon prio_bits({11, 7, 2}), prio_plain({11, 7, 2});
   ActionBuffer a, b;
-  std::vector<char> bits(static_cast<std::size_t>(g.n()), 0);
+  std::vector<std::uint64_t> words(
+      (static_cast<std::size_t>(g.n()) + 63) / 64);
   for (std::size_t i = 0; i < sequence.size(); ++i) {
-    std::fill(bits.begin(), bits.end(), 0);
-    for (VertexId v : sequence[i]) bits[static_cast<std::size_t>(v)] = 1;
-    const EnabledView bitmap_view(sequence[i], bits);
+    std::fill(words.begin(), words.end(), 0);
+    for (VertexId v : sequence[i]) {
+      words[static_cast<std::size_t>(v) / 64] |= std::uint64_t{1} << (v % 64);
+    }
+    const EnabledView bitmap_view(sequence[i], words);
     const EnabledView plain_view(sequence[i]);
     const auto step = static_cast<StepIndex>(i);
 

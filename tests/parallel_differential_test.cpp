@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "graph/generators.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/incremental_engine.hpp"
 #include "sim/parallel_engine.hpp"
 #include "sim/protocol_registry.hpp"
@@ -288,6 +290,154 @@ TEST(ParallelDifferential, ScoredKernelPartialSumsAcrossShards) {
             g, proto, daemon_name, seed, random_config(g, proto.clock(), seed),
             [&] { return make_gamma1_checker(proto); }, opt,
             "n=" + std::to_string(g.n()) + " daemon=" + daemon_name +
+                " seed=" + std::to_string(seed));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// --- Full-set steps ------------------------------------------------------
+//
+// Under a daemon whose every action is the whole enabled set
+// (Daemon::activates_all_enabled: synchronous, bernoulli-1) and a checker
+// that takes fused totals, dense steps skip the daemon call and install
+// straight from the rule codes, or from the mask words after a sparse
+// re-test left the codes stale.  An observer or trace recording sends
+// the engine back to the activated-vector path.  The harness below runs
+// SSME under the closure-counting Gamma_1 checker both ways and holds
+// each run to the incremental engine's.
+
+struct ObservedStep {
+  StepIndex step;
+  std::vector<VertexId> activated;
+  friend bool operator==(const ObservedStep&, const ObservedStep&) = default;
+};
+
+/// `observe` attaches an observer and records the trace (the fallback
+/// path); `fault` is a fault spec, or nullptr for none; `after` is
+/// steps_after_convergence.
+void expect_full_set_invariant(const Graph& g, const std::string& daemon_name,
+                               std::uint64_t seed, bool observe,
+                               const char* fault,
+                               std::optional<StepIndex> after,
+                               const std::string& context) {
+  using State = SsmeProtocol::State;
+  const SsmeProtocol proto = SsmeProtocol::for_graph(g);
+  const Config<State> init = random_config(g, proto.clock(), seed);
+  const auto run = [&](EngineKind engine, unsigned threads,
+                       std::vector<ObservedStep>& log,
+                       std::int64_t& violations) {
+    RunOptions opt;
+    opt.max_steps = 200;
+    opt.steps_after_convergence = after;
+    opt.engine = engine;
+    opt.threads = threads;
+    opt.record_trace = observe;
+    StepObserver<State> observer;
+    if (observe) {
+      observer = [&log](StepIndex step, ConfigView<State>,
+                        const std::vector<VertexId>& activated) {
+        log.push_back({step, activated});
+      };
+    }
+    std::optional<FaultPlan<State>> plan;
+    if (fault != nullptr) {
+      plan.emplace(
+          FaultSpec::parse(fault), seed, 2,
+          [&g, &proto](std::uint64_t s) {
+            return random_config(g, proto.clock(), s);
+          },
+          [&proto](const Graph& gg, const ConfigView<State>& cv, VertexId v) {
+            return proto.enabled(gg, cv, v);
+          });
+    }
+    auto daemon = make_daemon(daemon_name, seed);
+    ClosureCounting checker(make_gamma1_checker(proto));
+    static_assert(kFusedScore<SsmeProtocol, decltype(checker)>,
+                  "full-set steps need a checker that takes fused totals");
+    auto res = run_with_engine(g, proto, *daemon, init, opt, checker,
+                               observer, plan ? &*plan : nullptr);
+    violations = checker.violations();
+    return res;
+  };
+
+  std::vector<ObservedStep> base_log;
+  std::int64_t base_violations = 0;
+  const auto base =
+      run(EngineKind::kIncremental, 1, base_log, base_violations);
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    std::vector<ObservedStep> log;
+    std::int64_t violations = 0;
+    const auto got = run(EngineKind::kParallel, threads, log, violations);
+    const std::string ctx = context + " threads=" + std::to_string(threads);
+    expect_same_run(base, got, ctx);
+    EXPECT_EQ(base.perturb, got.perturb) << ctx;
+    EXPECT_EQ(base_log, log) << ctx;
+    EXPECT_EQ(base_violations, violations) << ctx;
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ParallelDifferential, FullSetStepsMatchIncremental) {
+  // Graphs spanning several mask words, one with a partial last word.
+  for (const Graph& g : {make_torus(12, 16), make_ring(150)}) {
+    for (const std::string& daemon_name :
+         {std::string("synchronous"), std::string("bernoulli-1")}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const std::string ctx = "n=" + std::to_string(g.n()) +
+                                " daemon=" + daemon_name +
+                                " seed=" + std::to_string(seed);
+        // Full-set path: no observer, no trace.
+        expect_full_set_invariant(g, daemon_name, seed, false, nullptr,
+                                  std::nullopt, ctx);
+        if (::testing::Test::HasFatalFailure()) return;
+        // Fallback path: observer and trace force the activated vector.
+        expect_full_set_invariant(g, daemon_name, seed, true, nullptr,
+                                  std::nullopt, ctx + " observed");
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(ParallelDifferential, FullSetStepsAcrossFaultEpochs) {
+  // k = 80 corrupts most of these graphs: dense epochs, repaired by the
+  // sharded rescan, after which full-set steps install from codes again.
+  // k = 2 epochs are sparse: the ball re-test leaves the codes stale, so
+  // the next full-set step applies on the mask words' set bits.
+  for (const Graph& g : {make_torus(12, 16), make_ring(150)}) {
+    for (const std::string& daemon_name :
+         {std::string("synchronous"), std::string("bernoulli-1")}) {
+      for (const char* fault : {"periodic:period=9;k=80;epochs=4;start=3",
+                                "burst:period=7;k=2;epochs=5;start=2"}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          const std::string ctx = "n=" + std::to_string(g.n()) +
+                                  " daemon=" + daemon_name +
+                                  " fault=" + fault +
+                                  " seed=" + std::to_string(seed);
+          expect_full_set_invariant(g, daemon_name, seed, false, fault, 0,
+                                    ctx);
+          if (::testing::Test::HasFatalFailure()) return;
+          expect_full_set_invariant(g, daemon_name, seed, true, fault, 0,
+                                    ctx + " observed");
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelDifferential, FullSetStepsStopAfterConvergence) {
+  // The post-convergence stop counts full-set steps like any others.
+  const Graph g = make_torus(10, 13);
+  for (const std::string& daemon_name :
+       {std::string("synchronous"), std::string("bernoulli-1")}) {
+    for (const StepIndex after : {0, 1, 5, 17}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        expect_full_set_invariant(
+            g, daemon_name, seed, false, nullptr, after,
+            "daemon=" + daemon_name + " after=" + std::to_string(after) +
                 " seed=" + std::to_string(seed));
         if (::testing::Test::HasFatalFailure()) return;
       }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
@@ -53,6 +56,60 @@ TEST(RoundCounterTest, ResetClearsState) {
   EXPECT_EQ(rc.completed_rounds(), 0);
   rc.on_action({0, 1}, {0, 1}, {});
   EXPECT_EQ(rc.completed_rounds(), 1);
+}
+
+TEST(RoundCounterTest, FullActionCountPathMatchesExplicitVectors) {
+  // The engines account a full action at a round boundary by count
+  // alone (counts_full_action + on_full_action) and snapshot the
+  // pre-action set only when a partial action opens a round.  Over
+  // random enabled-set sequences mixing full and partial actions, that
+  // protocol must count exactly the rounds on_action() counts from the
+  // explicit vectors.
+  constexpr VertexId kN = 40;
+  std::mt19937_64 rng(11);
+  for (int trial = 0; trial < 50; ++trial) {
+    RoundCounter by_vectors(kN), by_count(kN);
+    std::vector<VertexId> before;
+    for (VertexId v = 0; v < kN; ++v) {
+      if (rng() % 2) before.push_back(v);
+    }
+    if (before.empty()) before.push_back(0);
+    std::vector<VertexId> round_base;
+    for (int step = 0; step < 60; ++step) {
+      std::vector<VertexId> activated;
+      if (rng() % 3 == 0) {
+        activated = before;  // full action
+      } else {
+        for (VertexId v : before) {
+          if (rng() % 3 == 0) activated.push_back(v);
+        }
+        if (activated.empty()) {
+          activated.push_back(before[rng() % before.size()]);
+        }
+      }
+      std::vector<VertexId> after;
+      for (VertexId v = 0; v < kN; ++v) {
+        if (rng() % 2) after.push_back(v);
+      }
+      if (after.empty()) after.push_back(static_cast<VertexId>(rng() % kN));
+
+      by_vectors.on_action(before, activated, after);
+
+      const bool full = by_count.counts_full_action(before.size(),
+                                                    activated.size());
+      if (!full && !by_count.round_open()) round_base = before;
+      if (full) {
+        by_count.on_full_action();
+      } else {
+        by_count.on_action(round_base, activated, after);
+      }
+      ASSERT_EQ(by_count.completed_rounds(), by_vectors.completed_rounds())
+          << "trial " << trial << " step " << step;
+      ASSERT_EQ(by_count.round_open(), by_vectors.round_open())
+          << "trial " << trial << " step " << step;
+      before = after;
+    }
+  }
 }
 
 // Integration: engine round metering on a countdown protocol.

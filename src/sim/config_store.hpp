@@ -413,25 +413,17 @@ class ConfigStore {
 
   // --- Sharded dense install (parallel engine) ---------------------------
   //
-  // Three-phase variant of dense_apply() whose merge pass fans out over
+  // Three-phase variant of dense_apply() whose single pass fans out over
   // contiguous index ranges: dense_begin() sizes the inactive double
   // buffers (a no-op after the first dense step), each shard calls
-  // dense_fill_range() over its own range — segment copies of the gaps
-  // plus the pre-computed successor states of the activated vertices
-  // inside the range — and dense_commit() swaps the buffers in.  Ranges
-  // must partition [0, n); concurrent fill calls on disjoint ranges are
-  // data-race-free (disjoint writes into the inactive buffers, reads from
-  // the still-live ones).  `staged` is indexed like `activated`
-  // (staged[a] is the successor of activated[a]); [a_lo, a_hi) is the
-  // activated subrange lying inside [begin, end).  After dense_commit(),
-  // prev_view() reads the pre-action configuration exactly as after
-  // dense_apply().
-  //
-  // dense_map_range() is the fill for actions described per index rather
-  // than by an activated list (the parallel engine's whole-enabled-set
-  // steps): it writes next(i) for every i in [begin, end), one pass, in
-  // either layout.  Same range and concurrency rules as
-  // dense_fill_range(); `next` reads the still-live configuration.
+  // dense_map_range(begin, end, next) over its own range — next(i) is
+  // the post-action state of index i, read against the still-live
+  // configuration, and is written in either layout — and dense_commit()
+  // swaps the buffers in.  Ranges must partition [0, n); concurrent map
+  // calls on disjoint ranges are data-race-free (disjoint writes into
+  // the inactive buffers, reads from the still-live ones).  After
+  // dense_commit(), prev_view() reads the pre-action configuration
+  // exactly as after dense_apply().
 
   void dense_begin() {
     if constexpr (kStructSplit) {
@@ -442,29 +434,6 @@ class ConfigStore {
       }
     }
     next_data_.resize(n_);
-  }
-
-  void dense_fill_range(const std::vector<VertexId>& activated,
-                        const State* staged, std::size_t a_lo,
-                        std::size_t a_hi, std::size_t begin,
-                        std::size_t end) {
-    if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA) {
-        fill_columns_range(activated, staged, a_lo, a_hi, begin, end,
-                           std::make_index_sequence<std::tuple_size_v<Columns>>{});
-        if constexpr (kResidual) {
-          segment_merge_range(data_, next_data_, activated, a_lo, a_hi, begin,
-                              end, [&](std::size_t a, std::size_t i) {
-                                next_data_[i] = staged[a];
-                              });
-        }
-        return;
-      }
-    }
-    segment_merge_range(data_, next_data_, activated, a_lo, a_hi, begin, end,
-                        [&](std::size_t a, std::size_t i) {
-                          next_data_[i] = staged[a];
-                        });
   }
 
   template <class Next>
@@ -572,21 +541,16 @@ class ConfigStore {
     ((std::get<I>(cols)[i] = s.*std::get<I>(SoaFields<State>::members)), ...);
   }
 
-  /// The dense carry-over shared by every backing array, restricted to
-  /// the index range [begin, end): copies src into dst in contiguous
-  /// segments around the activated indices in [a_lo, a_hi) and lets
-  /// `write(a, i)` install the a-th applied value at index i — one
-  /// forward pass, end - begin writes, nothing written twice.
-  /// `activated` sorted; activated[a_lo..a_hi) must be exactly the
-  /// activated vertices inside [begin, end).
+  /// The dense carry-over shared by every backing array: copies src into
+  /// dst in contiguous segments around the (sorted) activated indices
+  /// and lets `write(a, i)` install the a-th applied value at index i —
+  /// one forward pass, n writes, nothing written twice.
   template <class Vec, class Write>
-  static void segment_merge_range(const Vec& src, Vec& dst,
-                                  const std::vector<VertexId>& activated,
-                                  std::size_t a_lo, std::size_t a_hi,
-                                  std::size_t begin, std::size_t end,
-                                  Write&& write) {
-    std::size_t done = begin;
-    for (std::size_t a = a_lo; a < a_hi; ++a) {
+  static void segment_merge(const Vec& src, Vec& dst,
+                            const std::vector<VertexId>& activated,
+                            Write&& write) {
+    std::size_t done = 0;
+    for (std::size_t a = 0; a < activated.size(); ++a) {
       const auto i = static_cast<std::size_t>(activated[a]);
       std::copy(src.begin() + static_cast<std::ptrdiff_t>(done),
                 src.begin() + static_cast<std::ptrdiff_t>(i),
@@ -594,36 +558,8 @@ class ConfigStore {
       write(a, i);
       done = i + 1;
     }
-    std::copy(src.begin() + static_cast<std::ptrdiff_t>(done),
-              src.begin() + static_cast<std::ptrdiff_t>(end),
+    std::copy(src.begin() + static_cast<std::ptrdiff_t>(done), src.end(),
               dst.begin() + static_cast<std::ptrdiff_t>(done));
-  }
-
-  /// Whole-array carry-over: segment_merge_range over everything.
-  template <class Vec, class Write>
-  static void segment_merge(const Vec& src, Vec& dst,
-                            const std::vector<VertexId>& activated,
-                            Write&& write) {
-    segment_merge_range(src, dst, activated, 0, activated.size(), 0,
-                        src.size(), std::forward<Write>(write));
-  }
-
-  /// Ranged dense column refresh for the sharded install path:
-  /// segment_merge_range per column, writing each staged state's member.
-  template <std::size_t... I>
-  void fill_columns_range(const std::vector<VertexId>& activated,
-                          const State* staged, std::size_t a_lo,
-                          std::size_t a_hi, std::size_t begin,
-                          std::size_t end, std::index_sequence<I...>)
-    requires kStructSplit
-  {
-    ((segment_merge_range(std::get<I>(cols_), std::get<I>(next_cols_),
-                          activated, a_lo, a_hi, begin, end,
-                          [&](std::size_t a, std::size_t i) {
-                            std::get<I>(next_cols_)[i] =
-                                staged[a].*std::get<I>(SoaFields<State>::members);
-                          })),
-     ...);
   }
 
   /// Dense column refresh: segment_merge per column, writing each staged

@@ -111,14 +111,6 @@ void EnabledSet::scatter_words(VertexId begin, VertexId end,
                vertices_.data() + offset);
 }
 
-void EnabledSet::decode() const {
-  vertices_.resize(count_);
-  [[maybe_unused]] const VertexId* end =
-      decode_words(words_.data(), 0, words_.size(), vertices_.data());
-  assert(end == vertices_.data() + vertices_.size());
-  stale_ = false;
-}
-
 void EnabledSet::assign(const std::vector<VertexId>& sorted_enabled) {
   std::fill(words_.begin(), words_.end(), 0);
   for (VertexId v : sorted_enabled) {
@@ -134,8 +126,8 @@ void EnabledSet::assign(const std::vector<VertexId>& sorted_enabled) {
 
 void EnabledSet::begin_update() {
   // The staged edits below patch the sorted vector, so it must be
-  // current first.
-  if (stale_) decode();
+  // current.
+  assert(!stale_ && "EnabledSet: staged update before scatter");
   added_.clear();
   removed_.clear();
 }

@@ -7,7 +7,8 @@
 // scalar rebuild (append()); the vector engine rebuilds it from packed
 // guard-verdict words (append_mask(), 64 verdicts per word); the
 // parallel engine fills the words shard by shard and decodes the sorted
-// vector only when something reads it (fill_words()/end_fill()).  The
+// vector, also shard by shard, only when it needs it (fill_words(),
+// end_fill(), scatter_words()).  The
 // IncrementalLegitimacy / HasBallUpdate concepts describe the checker
 // objects both engines drive (see core/incremental_legitimacy.hpp for
 // the concrete checkers).
@@ -129,10 +130,11 @@ class NeighborhoodExpander {
 /// pass.
 ///
 /// The sorted vector may lag the words: after a sharded fill
-/// (fill_words() + end_fill()) only the words and the count are current,
-/// and the vector is decoded from the words the first time something
-/// reads it — vertices(), view(), or any staged update.  contains(),
-/// size() and empty() never decode.
+/// (fill_words() + end_fill()) only the words and the count are current
+/// until the sharded decode (prepare_scatter() + scatter_words()) runs.
+/// contains(), size() and empty() read only the words and the count;
+/// vertices(), view() and the staged updates require the vector to be
+/// current.
 class EnabledSet {
  public:
   void reset(VertexId n);
@@ -147,14 +149,12 @@ class EnabledSet {
     return ((words_[i / 64] >> (i % 64)) & 1) != 0;
   }
 
-  /// The sorted vector, decoded from the mask words first when a sharded
-  /// fill left it stale.  Decoding writes, so a stale set must not be
-  /// read this way from several threads at once.
+  /// The sorted vector; must be current (see sorted_current()).
   [[nodiscard]] const std::vector<VertexId>& vertices() const {
-    if (stale_) decode();
+    assert(!stale_ && "EnabledSet: sorted vector read before scatter");
     return vertices_;
   }
-  /// Whether vertices() is current without decoding.
+  /// False between end_fill() and the sharded decode.
   [[nodiscard]] bool sorted_current() const { return !stale_; }
   /// Daemon-facing view: the sorted vector plus the mask words, which
   /// give cursor daemons O(1) contains() (see EnabledView).
@@ -224,8 +224,7 @@ class EnabledSet {
   //      over the shard counts plus the sorted-vector resize (within the
   //      reset() reservation, so allocation-free) — and each shard calls
   //      scatter_words(begin, end, offsets[k]) to decode its words into
-  //      its slice.  Skipping this step leaves vertices() to decode
-  //      sequentially on first read.
+  //      its slice.
   //
   // Concurrent fill/scatter calls on distinct ranges are data-race-free
   // by construction (disjoint writes, no size changes); the resulting
@@ -257,14 +256,11 @@ class EnabledSet {
   void scatter_words(VertexId begin, VertexId end, std::size_t offset);
 
  private:
-  /// Sequential decode of every mask word into the sorted vector.
-  void decode() const;
-
   std::vector<std::uint64_t> words_;  ///< membership, one bit per vertex
-  mutable std::vector<VertexId> vertices_;
+  std::vector<VertexId> vertices_;
   std::vector<VertexId> scratch_, added_, removed_;
   std::size_t count_ = 0;
-  mutable bool stale_ = false;  ///< vertices_ lags words_
+  bool stale_ = false;  ///< vertices_ lags words_
 };
 
 }  // namespace specstab

@@ -50,8 +50,9 @@
 //   (ConfigStore::dense_map_range), writing own + code, or apply() on
 //   the set bits of its mask words while the codes are stale; phase 2
 //   follows, phase 3 does not run, and the round closes by count
-//   (RoundCounter::on_full_action).  Other dense steps install from the
-//   sorted activation list (dense_fill_range).
+//   (RoundCounter::on_full_action).  Other dense steps take the same
+//   single pass with a cursor over the shard's slice of the sorted
+//   activation list.
 //
 //   The initial enabled set comes from the same sharded rescan, so the
 //   first dense step applies from codes too, and with a fused checker
@@ -338,35 +339,40 @@ RunResult<typename P::State> run_execution_parallel(
         });
       };
 
-  // Partial dense install: shard k stages the successor states of its
-  // activated slice and merges its column segment of the inactive double
-  // buffers.  While the verdict buffer is live, the successors come from
-  // the rule codes (own state + code, no guard re-evaluation); otherwise
-  // from proto.apply().  No cross-shard reads: the live buffers are
+  // Partial dense install: the same single pass over the shard's range,
+  // with an ascending cursor into its slice of the sorted activation
+  // list — activated vertices get their successor, every other vertex
+  // carries its state over.  No cross-shard reads: the live buffers are
   // immutable until dense_commit().
   const std::function<void(std::size_t)> dense_install_phase =
       [&](std::size_t k) {
-        const auto a_lo = static_cast<std::size_t>(
-            std::lower_bound(activated.begin(), activated.end(), bounds[k]) -
-            activated.begin());
-        const auto a_hi = static_cast<std::size_t>(
-            std::lower_bound(activated.begin(), activated.end(),
-                             bounds[k + 1]) -
-            activated.begin());
-        std::size_t j = a_lo;
+        const auto lo = static_cast<std::size_t>(bounds[k]);
+        const auto hi = static_cast<std::size_t>(bounds[k + 1]);
+        const VertexId* next_active = std::lower_bound(
+            activated.data(), activated.data() + activated.size(), bounds[k]);
+        const VertexId* const last = activated.data() + activated.size();
+        // Branch-free advance: half-activated ranges would mispredict.
+        const auto take = [&](std::size_t i) {
+          const bool hit = next_active != last &&
+                           static_cast<std::size_t>(*next_active) == i;
+          next_active += hit;
+          return hit;
+        };
         if constexpr (kRuleCodes) {
           if (verdicts_live) {
             const std::uint8_t* code = kernel.verdicts.data();
-            for (; j < a_hi; ++j) {
-              const auto i = static_cast<std::size_t>(activated[j]);
-              staged[j] = SimdEval<P>::successor(proto, live.get(i), code[i]);
-            }
+            cfg.dense_map_range(lo, hi, [&](std::size_t i) {
+              const State own = live.get(i);
+              return take(i) ? SimdEval<P>::successor(proto, own, code[i])
+                             : own;
+            });
+            return;
           }
         }
-        for (; j < a_hi; ++j) staged[j] = proto.apply(g, live, activated[j]);
-        cfg.dense_fill_range(activated, staged.data(), a_lo, a_hi,
-                             static_cast<std::size_t>(bounds[k]),
-                             static_cast<std::size_t>(bounds[k + 1]));
+        cfg.dense_map_range(lo, hi, [&](std::size_t i) {
+          return take(i) ? proto.apply(g, live, static_cast<VertexId>(i))
+                         : live.get(i);
+        });
       };
 
   // Dense rescan over the shard's vertex range: SimdEval kernel (or
@@ -448,9 +454,10 @@ RunResult<typename P::State> run_execution_parallel(
     verdicts_live = true;
     return total;
   };
-  // Decodes a stale sorted vector through the sharded scatter.  While
-  // the vector is stale the words are exactly those of the last fill
-  // (every other edit decodes first), so its shard counts still hold.
+  // Decodes a stale sorted vector through the sharded scatter — the only
+  // decode; every reader of the vector runs after it.  While the vector
+  // is stale the words are exactly those of the last fill (every other
+  // edit requires a current vector), so its shard counts still hold.
   const auto sort_enabled = [&] {
     if (enabled.sorted_current()) return;
     enabled.prepare_scatter(shard_counts, shard_offsets);
@@ -557,23 +564,23 @@ RunResult<typename P::State> run_execution_parallel(
 
     const bool dense = is_dense_update(
         static_cast<std::int64_t>(activated.size()), radius, g);
-    staged.resize(activated.size());
     if (dense) {
       // Fused apply + install: one parallel phase writes the inactive
       // double buffers, one O(1) swap publishes them.  Trace recording
-      // reads the still-live pre-action states against the staged
-      // successors before the swap.
+      // reads the swapped-out pre-action states through prev_view().
       cfg.dense_begin();
       run_shards(dense_install_phase);
+      cfg.dense_commit();
       if (opt.record_trace) {
-        for (std::size_t j = 0; j < activated.size(); ++j) {
-          const auto i = static_cast<std::size_t>(activated[j]);
-          res.trace.note_change(activated[j], live.get(i), staged[j]);
+        const ConfigView<State> prev = cfg.prev_view();
+        for (const VertexId v : activated) {
+          const auto i = static_cast<std::size_t>(v);
+          res.trace.note_change(v, prev.get(i), live.get(i));
         }
         res.trace.seal_action(activated);
       }
-      cfg.dense_commit();
     } else {
+      staged.resize(activated.size());
       sparse_per =
           (activated.size() + shards - 1) / std::max<std::size_t>(1, shards);
       run_shards(sparse_apply_phase);

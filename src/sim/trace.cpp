@@ -17,12 +17,12 @@ void RoundCounter::reset() {
 void RoundCounter::on_action(const std::vector<VertexId>& enabled_before,
                              const std::vector<VertexId>& activated,
                              const std::vector<VertexId>& enabled_after) {
-  if (!round_open_ && activated.size() == enabled_before.size()) {
+  if (counts_full_action(enabled_before.size(), activated.size())) {
     // Synchronous action at a round boundary: activated is a subset of
     // enabled_before, so equal sizes mean every vertex the round would
     // wait on is served by this very action — the round opens and
     // completes immediately, no pending bookkeeping needed.
-    ++rounds_;
+    on_full_action();
     return;
   }
   if (!round_open_) {

@@ -271,50 +271,55 @@ TEST(EnabledSetTest, ApplyDeltaEmptyDeltasReportNoChange) {
   EXPECT_EQ(set.vertices(), (std::vector<VertexId>{2, 5, 7}));
 }
 
-// --- Lazy sorted vector: the parallel engine's full-set steps ---
+// --- Sharded fill + scatter: the parallel engine's dense rebuild ---
 
-TEST(EnabledSetTest, LazySortedVectorMatchesEagerSweep) {
+TEST(EnabledSetTest, ShardedFillAndScatterMatchEagerSweep) {
   // A sharded fill published with end_fill() keeps only the words and
-  // the count current; vertices() decodes on first read.  That decode —
-  // straight after the fill, or after a sparse apply_delta() on the
-  // stale set — must equal an eager append_mask() sweep of the same
-  // verdicts.  150 vertices: the last word covers 128..149 only.
+  // the count current; the sharded scatter then decodes the sorted
+  // vector.  The result — straight after the scatter, and after a sparse
+  // apply_delta() on top of it — must equal an eager append_mask() sweep
+  // of the same verdicts.  150 vertices: the last word covers 128..149
+  // only.
   constexpr VertexId kN = 150;
   const std::vector<VertexId> bounds = {0, 64, 128, kN};
+  const std::size_t shards = bounds.size() - 1;
   std::mt19937_64 rng(2024);
   for (int round = 0; round < 60; ++round) {
     std::vector<std::uint8_t> on(192, 0);  // padded to whole words
     for (VertexId v = 0; v < kN; ++v) {
       on[static_cast<std::size_t>(v)] = static_cast<std::uint8_t>(rng() % 2);
     }
-    const auto fill = [&](EnabledSet& set) {
-      set.reset(kN);
-      std::size_t count = 0;
-      for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-        count += set.fill_words(bounds[k], bounds[k + 1], on.data());
-      }
-      set.end_fill(count);
-    };
 
-    EnabledSet lazy, patched;
-    fill(lazy);
-    fill(patched);
-    ASSERT_FALSE(lazy.sorted_current());
-    // Membership and size answer from the words without decoding.
-    for (VertexId v = 0; v < kN; ++v) {
-      ASSERT_EQ(lazy.contains(v), on[static_cast<std::size_t>(v)] != 0);
+    EnabledSet set;
+    set.reset(kN);
+    std::vector<std::size_t> counts(shards), offsets;
+    std::size_t count = 0;
+    for (std::size_t k = 0; k < shards; ++k) {
+      counts[k] = set.fill_words(bounds[k], bounds[k + 1], on.data());
+      count += counts[k];
     }
-    ASSERT_FALSE(lazy.sorted_current());
+    set.end_fill(count);
+    ASSERT_FALSE(set.sorted_current());
+    // Membership and size answer from the words alone.
+    for (VertexId v = 0; v < kN; ++v) {
+      ASSERT_EQ(set.contains(v), on[static_cast<std::size_t>(v)] != 0);
+    }
+
+    // Shards decode independently: scatter them in reverse order.
+    set.prepare_scatter(counts, offsets);
+    for (std::size_t k = shards; k-- > 0;) {
+      set.scatter_words(bounds[k], bounds[k + 1], offsets[k]);
+    }
+    ASSERT_TRUE(set.sorted_current());
 
     const std::vector<std::uint8_t> filled(on.begin(), on.begin() + kN);
     EnabledSet eager;
     eager.reset(kN);
     rebuild_from_bytes(eager, filled);
-    EXPECT_EQ(lazy.size(), eager.vertices().size()) << "round " << round;
-    EXPECT_EQ(lazy.vertices(), eager.vertices()) << "round " << round;
-    EXPECT_TRUE(lazy.sorted_current());
+    EXPECT_EQ(set.size(), eager.vertices().size()) << "round " << round;
+    EXPECT_EQ(set.vertices(), eager.vertices()) << "round " << round;
 
-    // A sparse delta on the still-stale set, then the same comparison.
+    // A sparse delta on the scattered set, then the same comparison.
     std::vector<VertexId> dirty;
     for (int k = 0; k < 1 + static_cast<int>(rng() % 12); ++k) {
       dirty.push_back(static_cast<VertexId>(rng() % kN));
@@ -327,13 +332,13 @@ TEST(EnabledSetTest, LazySortedVectorMatchesEagerSweep) {
       (bit != 0 ? removed : added).push_back(v);
       bit ^= 1u;
     }
-    patched.apply_delta(added, removed);
+    set.apply_delta(added, removed);
     const std::vector<std::uint8_t> flipped(on.begin(), on.begin() + kN);
     rebuild_from_bytes(eager, flipped);
-    EXPECT_EQ(patched.size(), eager.vertices().size()) << "round " << round;
-    EXPECT_EQ(patched.vertices(), eager.vertices()) << "round " << round;
+    EXPECT_EQ(set.size(), eager.vertices().size()) << "round " << round;
+    EXPECT_EQ(set.vertices(), eager.vertices()) << "round " << round;
     for (VertexId v = 0; v < kN; ++v) {
-      ASSERT_EQ(patched.contains(v), eager.contains(v))
+      ASSERT_EQ(set.contains(v), eager.contains(v))
           << "round " << round << " v=" << v;
     }
   }

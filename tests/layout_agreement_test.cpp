@@ -152,7 +152,7 @@ TEST(LayoutAgreement, HotColdResidualSplitAgreesAcrossEnginesAndLayouts) {
 
 TEST(LayoutAgreement, FusedParallelThreadGridAgreesAcrossLayouts) {
   // The fused dense path fills column segments per shard
-  // (dense_fill_range), including the residual full-struct array the
+  // (dense_map_range), including the residual full-struct array the
   // HotCold split leaves behind — a lost residual write or a torn column
   // segment shows up as a final-config or trace mismatch.  Graph sizes
   // straddle the 64-vertex word boundary (97, 130) so shards get unequal

@@ -1,5 +1,6 @@
 #include "cli/cli.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -838,6 +839,14 @@ CliResult run_cli(const std::vector<std::string>& args) {
   }
   const std::string& cmd = args[0];
   const std::vector<std::string> rest(args.begin() + 1, args.end());
+  // Topology subcommands read their first arguments as a graph family, so
+  // `--help` is answered before the family parser sees it.
+  static const std::set<std::string> kTopologyCommands = {
+      "params", "graph", "run", "witness", "speculate", "elect", "color"};
+  if (kTopologyCommands.count(cmd) != 0 &&
+      std::find(rest.begin(), rest.end(), "--help") != rest.end()) {
+    return {0, usage()};
+  }
   try {
     if (cmd == "list") return cmd_list(rest);
     if (cmd == "topologies") return cmd_topologies();

@@ -371,49 +371,29 @@ class ConfigStore {
   /// every activated vertex gets applier(prev, v) evaluated against the
   /// pre-action configuration, every other vertex carries its state over,
   /// and the double-buffered backing arrays are column-swapped — no full
-  /// configuration copy, no per-vertex staging.  `activated` is sorted
-  /// ascending.  Until the next mutation, prev_view() still reads the
-  /// pre-action configuration (trace recording wants the before states).
+  /// configuration copy, no per-vertex staging: the one-range case of the
+  /// sharded install below.  `activated` is sorted ascending.  Until the
+  /// next mutation, prev_view() still reads the pre-action configuration
+  /// (trace recording wants the before states).
   template <class F>
   void dense_apply(const std::vector<VertexId>& activated, F&& applier) {
     const ConfigView<State> prev = view();
-    if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA) {
-        // Stage the applied states once, then refresh column-wise: per
-        // column, segment copies of the gaps between activated vertices
-        // plus one write per staged state — n writes per column total.
-        staged_.clear();
-        staged_.reserve(activated.size());
-        for (VertexId v : activated) staged_.push_back(applier(prev, v));
-        resize_columns(next_cols_);
-        swap_in_columns(activated);
-        if constexpr (kResidual) {
-          next_data_.resize(n_);
-          segment_merge(data_, next_data_, activated,
-                        [this](std::size_t a, std::size_t i) {
-                          next_data_[i] = staged_[a];
-                        });
-          data_.swap(next_data_);
-        }
-        std::swap(cols_, next_cols_);
-        has_prev_ = true;
-        return;
-      }
-    }
-    // Vector-backed layouts: one forward pass against the pre-action
-    // buffer — n writes total.
-    next_data_.resize(n_);
-    segment_merge(data_, next_data_, activated,
-                  [&](std::size_t a, std::size_t i) {
-                    next_data_[i] = applier(prev, activated[a]);
-                  });
-    data_.swap(next_data_);
-    has_prev_ = true;
+    const VertexId* next_active = activated.data();
+    const VertexId* const last = next_active + activated.size();
+    dense_begin();
+    dense_map_range(0, n_, [&](std::size_t i) {
+      // Branch-free advance: half-activated ranges would mispredict.
+      const bool hit = next_active != last &&
+                       static_cast<std::size_t>(*next_active) == i;
+      next_active += hit;
+      return hit ? applier(prev, static_cast<VertexId>(i)) : prev.get(i);
+    });
+    dense_commit();
   }
 
   // --- Sharded dense install (parallel engine) ---------------------------
   //
-  // Three-phase variant of dense_apply() whose single pass fans out over
+  // Three-phase form of dense_apply() whose single pass fans out over
   // contiguous index ranges: dense_begin() sizes the inactive double
   // buffers (a no-op after the first dense step), each shard calls
   // dense_map_range(begin, end, next) over its own range — next(i) is
@@ -541,49 +521,6 @@ class ConfigStore {
     ((std::get<I>(cols)[i] = s.*std::get<I>(SoaFields<State>::members)), ...);
   }
 
-  /// The dense carry-over shared by every backing array: copies src into
-  /// dst in contiguous segments around the (sorted) activated indices
-  /// and lets `write(a, i)` install the a-th applied value at index i —
-  /// one forward pass, n writes, nothing written twice.
-  template <class Vec, class Write>
-  static void segment_merge(const Vec& src, Vec& dst,
-                            const std::vector<VertexId>& activated,
-                            Write&& write) {
-    std::size_t done = 0;
-    for (std::size_t a = 0; a < activated.size(); ++a) {
-      const auto i = static_cast<std::size_t>(activated[a]);
-      std::copy(src.begin() + static_cast<std::ptrdiff_t>(done),
-                src.begin() + static_cast<std::ptrdiff_t>(i),
-                dst.begin() + static_cast<std::ptrdiff_t>(done));
-      write(a, i);
-      done = i + 1;
-    }
-    std::copy(src.begin() + static_cast<std::ptrdiff_t>(done), src.end(),
-              dst.begin() + static_cast<std::ptrdiff_t>(done));
-  }
-
-  /// Dense column refresh: segment_merge per column, writing each staged
-  /// state's member.
-  void swap_in_columns(const std::vector<VertexId>& activated)
-    requires kStructSplit
-  {
-    swap_in_columns_impl(
-        activated, std::make_index_sequence<std::tuple_size_v<Columns>>{});
-  }
-
-  template <std::size_t... I>
-  void swap_in_columns_impl(const std::vector<VertexId>& activated,
-                            std::index_sequence<I...>)
-    requires kStructSplit
-  {
-    ((segment_merge(std::get<I>(cols_), std::get<I>(next_cols_), activated,
-                    [this](std::size_t a, std::size_t i) {
-                      std::get<I>(next_cols_)[i] =
-                          staged_[a].*std::get<I>(SoaFields<State>::members);
-                    })),
-     ...);
-  }
-
   void resize_columns(Columns& cols)
     requires kStructSplit
   {
@@ -600,9 +537,8 @@ class ConfigStore {
   std::size_t n_ = 0;
   Config<State> data_;       // AoS data, or the SoA residual struct array
   Columns cols_{};           // SoA hot-field columns (struct splits only)
-  Config<State> next_data_;  // dense_apply double buffers
+  Config<State> next_data_;  // dense double buffers
   Columns next_cols_{};
-  std::vector<State> staged_;  // dense_apply staging (struct-SoA path)
   bool has_prev_ = false;
 };
 

@@ -54,6 +54,14 @@ VertexId* decode_words(const std::uint64_t* words, std::size_t first,
   return dst;
 }
 
+/// Appends base + b for every set bit b of mask, ascending.
+void push_bits(std::uint64_t mask, VertexId base, std::vector<VertexId>& out) {
+  while (mask != 0) {
+    out.push_back(base + std::countr_zero(mask));
+    mask &= mask - 1;
+  }
+}
+
 }  // namespace
 
 void EnabledSet::reset(VertexId n) {
@@ -63,6 +71,7 @@ void EnabledSet::reset(VertexId n) {
   removed_.clear();
   count_ = 0;
   stale_ = false;
+  rebuilt_ = false;
   // No staged set exceeds n vertices; reserving up front keeps the
   // rebuild, staging and merge paths allocation-free for the whole run.
   // A reservation is only address space until a path writes into it, so
@@ -72,6 +81,7 @@ void EnabledSet::reset(VertexId n) {
   added_.reserve(static_cast<std::size_t>(n));
   removed_.reserve(static_cast<std::size_t>(n));
   words_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+  prev_words_.assign(words_.size(), 0);
 }
 
 std::size_t EnabledSet::fill_words(VertexId begin, VertexId end,
@@ -130,9 +140,11 @@ void EnabledSet::begin_update() {
   assert(!stale_ && "EnabledSet: staged update before scatter");
   added_.clear();
   removed_.clear();
+  rebuilt_ = false;
 }
 
 void EnabledSet::begin_rebuild() {
+  words_.swap(prev_words_);
   std::fill(words_.begin(), words_.end(), 0);
   scratch_.clear();
 }
@@ -141,6 +153,24 @@ void EnabledSet::end_rebuild() {
   vertices_.swap(scratch_);
   count_ = vertices_.size();
   stale_ = false;
+  rebuilt_ = true;
+}
+
+EnabledDelta EnabledSet::delta() {
+  if (rebuilt_) {
+    added_.clear();
+    removed_.clear();
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      const std::uint64_t now = words_[w];
+      const std::uint64_t was = prev_words_[w];
+      if (now == was) continue;
+      const auto base = static_cast<VertexId>(w * 64);
+      push_bits(now & ~was, base, added_);
+      push_bits(was & ~now, base, removed_);
+    }
+    rebuilt_ = false;
+  }
+  return {added_, removed_, vertices()};
 }
 
 void EnabledSet::note(VertexId v, bool enabled_now) {
@@ -206,16 +236,8 @@ bool EnabledSet::apply_delta(const std::vector<VertexId>& added,
   // note() path reuses the small-flip/linear-merge machinery — and the
   // commit() asserts — unchanged.
   begin_update();
-  for (const VertexId v : added) {
-    const auto i = static_cast<std::size_t>(v);
-    words_[i / 64] |= std::uint64_t{1} << (i % 64);
-    added_.push_back(v);
-  }
-  for (const VertexId v : removed) {
-    const auto i = static_cast<std::size_t>(v);
-    words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
-    removed_.push_back(v);
-  }
+  for (const VertexId v : added) note(v, true);
+  for (const VertexId v : removed) note(v, false);
   return commit();
 }
 

@@ -25,6 +25,7 @@
 #include "graph/graph.hpp"
 #include "sim/config_store.hpp"
 #include "sim/daemon.hpp"
+#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace specstab {
@@ -160,6 +161,12 @@ class EnabledSet {
   /// give cursor daemons O(1) contains() (see EnabledView).
   [[nodiscard]] EnabledView view() const { return {vertices(), words_}; }
 
+  /// The change made by the latest update: the staged flips after
+  /// commit() or apply_delta(); after a rebuild or a sharded fill, the
+  /// difference to the mask words before it, decoded here in one pass
+  /// over the words.  The sorted vector must be current.
+  [[nodiscard]] EnabledDelta delta();
+
   void begin_update();
   /// Records the fresh guard verdict of a dirty vertex.  Must be called
   /// in ascending vertex order between begin_update() and commit().
@@ -213,7 +220,8 @@ class EnabledSet {
   // [0, n) with every interior boundary a multiple of 64, so shards
   // touch disjoint mask words:
   //
-  //   1. each shard calls fill_words(begin, end, verdicts) over its own
+  //   1. one thread calls begin_fill(), then each shard calls
+  //      fill_words(begin, end, verdicts) over its own
   //      range (verdicts indexed by absolute vertex id, padded to a
   //      64-byte multiple with zeros past the last vertex) and keeps the
   //      returned enabled count;
@@ -238,11 +246,16 @@ class EnabledSet {
   std::size_t fill_words(VertexId begin, VertexId end,
                          const std::uint8_t* verdicts);
 
+  /// Starts a sharded fill (before any fill_words() call): keeps the
+  /// current words for delta().
+  void begin_fill() { words_.swap(prev_words_); }
+
   /// Publishes a complete sharded fill of `count` enabled vertices and
   /// marks the sorted vector stale.
   void end_fill(std::size_t count) {
     count_ = count;
     stale_ = true;
+    rebuilt_ = true;
   }
 
   /// Prefix-sums the per-shard counts into `offsets` (size counts.size()
@@ -257,11 +270,38 @@ class EnabledSet {
 
  private:
   std::vector<std::uint64_t> words_;  ///< membership, one bit per vertex
+  std::vector<std::uint64_t> prev_words_;  ///< words before a rebuild
   std::vector<VertexId> vertices_;
   std::vector<VertexId> scratch_, added_, removed_;
   std::size_t count_ = 0;
   bool stale_ = false;  ///< vertices_ lags words_
+  bool rebuilt_ = false;  ///< the latest update was a rebuild or fill
 };
+
+/// Sparse repair after the vertices in `seeds` changed state: re-tests
+/// the guards of their radius-`radius` ball, commits the flips, and
+/// returns the checker's verdict — handing the expanded ball to a
+/// same-radius checker (HasBallUpdate) instead of letting it expand the
+/// same ball again.
+template <class P, class C>
+bool retest_ball(EnabledSet& enabled, NeighborhoodExpander& expander,
+                 const Graph& g, const P& proto,
+                 ConfigView<typename P::State> live, VertexId radius,
+                 C& checker, const std::vector<VertexId>& seeds) {
+  enabled.begin_update();
+  const auto& dirty = expander.expand(g, seeds, radius);
+  for (VertexId v : dirty) enabled.note(v, proto.enabled(g, live, v));
+  bool legit;
+  if constexpr (HasBallUpdate<C, typename P::State>) {
+    legit = checker.update_radius() == radius
+                ? checker.on_update_ball(g, live, dirty)
+                : checker.on_update(g, live, seeds);
+  } else {
+    legit = checker.on_update(g, live, seeds);
+  }
+  enabled.commit();
+  return legit;
+}
 
 }  // namespace specstab
 

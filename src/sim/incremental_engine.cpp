@@ -1,28 +1,32 @@
 #include "sim/incremental_engine.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace specstab {
 
+namespace {
+
+constexpr std::pair<EngineKind, std::string_view> kEngineNames[] = {
+    {EngineKind::kIncremental, "incremental"},
+    {EngineKind::kReference, "reference"},
+    {EngineKind::kVector, "vector"},
+    {EngineKind::kParallel, "parallel"},
+};
+
+}  // namespace
+
 std::string_view engine_name(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kIncremental:
-      return "incremental";
-    case EngineKind::kReference:
-      return "reference";
-    case EngineKind::kVector:
-      return "vector";
-    case EngineKind::kParallel:
-      return "parallel";
+  for (const auto& [k, name] : kEngineNames) {
+    if (k == kind) return name;
   }
   throw std::invalid_argument("unknown EngineKind");
 }
 
 EngineKind engine_by_name(const std::string& name) {
-  if (name == "incremental") return EngineKind::kIncremental;
-  if (name == "reference") return EngineKind::kReference;
-  if (name == "vector") return EngineKind::kVector;
-  if (name == "parallel") return EngineKind::kParallel;
+  for (const auto& [kind, known] : kEngineNames) {
+    if (known == name) return kind;
+  }
   throw std::invalid_argument(
       "unknown engine '" + name +
       "' (incremental | reference | vector | parallel)");

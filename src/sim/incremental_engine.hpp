@@ -22,9 +22,12 @@
 // The dirty-set invariant both sides maintain: between actions, the
 // EnabledSet membership equals { v : proto.enabled(g, cfg, v) } and the
 // checker's cached verdict equals the from-scratch predicate.  The
-// differential harness (tests/engine_differential_test.cpp) asserts
-// run_execution_incremental() and run_execution() produce bit-identical
-// RunResults over randomized protocol x topology x daemon x seed grids.
+// differential harness (tests/engine_differential_test.cpp) asserts the
+// incremental and reference engines produce bit-identical RunResults
+// over randomized protocol x topology x daemon x seed grids.
+//
+// This header also holds run_with_engine(), which runs any engine's step
+// policy under the shared driver (run_driver.hpp).
 #ifndef SPECSTAB_SIM_INCREMENTAL_ENGINE_HPP
 #define SPECSTAB_SIM_INCREMENTAL_ENGINE_HPP
 
@@ -38,238 +41,101 @@
 #include "sim/daemon.hpp"
 #include "sim/enabled_set.hpp"
 #include "sim/engine.hpp"
-#include "sim/protocol.hpp"
 #include "sim/parallel_engine.hpp"
+#include "sim/protocol.hpp"
+#include "sim/run_driver.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
 #include "sim/vector_engine.hpp"
 
 namespace specstab {
 
-/// Incremental counterpart of run_execution(): same inputs, same
-/// RunResult, O(|B(A, r)|) guard evaluations per action instead of O(n).
+/// The incremental step policy: O(|B(A, r)|) guard evaluations per
+/// sparse action instead of O(n), an ordered rescan for dense ones.
 template <ProtocolConcept P, class C>
   requires IncrementalLegitimacy<C, typename P::State>
-RunResult<typename P::State> run_execution_incremental(
-    const Graph& g, const P& proto, Daemon& daemon,
-    Config<typename P::State> init, const RunOptions& opt, C& checker,
-    const StepObserver<typename P::State>& observer = nullptr,
-    FaultPlan<typename P::State>* fault_plan = nullptr) {
+class IncrementalPolicy {
   using State = typename P::State;
-  RunResult<State> res;
-  ConfigStore<State> cfg(std::move(init), opt.layout);
-  // One view for the whole run (reads through the store's member
-  // buffers, so it tracks in-place writes and dense buffer swaps).
-  const ConfigView<State> live = cfg.view();
-  RoundCounter rc(g.n());
-  const VertexId radius = protocol_locality_radius(proto);
 
-  bool pending_convergence_marker = false;
-  bool legit_now = true;
-  const auto note_legitimacy = [&](StepIndex cfg_index, bool legit) {
-    legit_now = legit;
-    if (fault_plan) fault_plan->meter().on_verdict(cfg_index, legit);
-    if (legit) {
-      if (res.first_legitimate < 0) res.first_legitimate = cfg_index;
-      if (pending_convergence_marker) {
-        res.moves_to_convergence = res.moves;
-        res.rounds_to_convergence = rc.completed_rounds();
-        pending_convergence_marker = false;
-      }
-    } else {
-      res.last_illegitimate = cfg_index;
-      pending_convergence_marker = true;
+ public:
+  IncrementalPolicy(const Graph& g, const P& proto, ConfigStore<State>& cfg,
+                    C& checker)
+      : g_(g),
+        proto_(proto),
+        cfg_(cfg),
+        live_(cfg.view()),
+        checker_(checker),
+        radius_(protocol_locality_radius(proto)),
+        expander_(g.n()) {}
+
+  bool init() {
+    enabled_.reset(g_.n());
+    enabled_.assign(enabled_vertices(g_, proto_, live_));
+    return checker_.init(g_, live_);
+  }
+  [[nodiscard]] std::size_t enabled_count() const { return enabled_.size(); }
+
+  // A perturbation is repaired like an action: re-test the perturbed
+  // ball (or rebuild when the corruption is dense) and refresh the
+  // checker so its cached counters never go stale.
+  bool repair(const std::vector<VertexId>& victims) {
+    if (is_dense(victims.size())) {
+      rescan();
+      return fault_refresh_checker(checker_, g_, live_, victims);
     }
-  };
+    return retest_ball(enabled_, expander_, g_, proto_, live_, radius_,
+                       checker_, victims);
+  }
 
-  if (opt.record_trace) res.trace.start(live);
-  note_legitimacy(0, checker.init(g, live));
-
-  EnabledSet enabled;
-  enabled.reset(g.n());
-  enabled.assign(enabled_vertices(g, proto, live));
-  NeighborhoodExpander expander(g.n());
-  ActionBuffer action;
-  std::vector<VertexId> round_base;
-  std::vector<std::pair<VertexId, State>> updates;
-
-  StepIndex since_convergence = 0;
-  while (res.steps < opt.max_steps) {
-    // Fault injection: install the epoch's corruption, then repair the
-    // dirty-set invariant — re-test guards in the perturbed ball (or
-    // rebuild when the corruption is dense) and refresh the checker so
-    // its cached counters never go stale.
-    if (fault_plan && fault_plan->due(res.steps, enabled.empty())) {
-      const Perturbation<State>& pert = fault_plan->fire(g, live, res.steps);
-      if (opt.record_trace) {
-        for (std::size_t i = 0; i < pert.victims.size(); ++i) {
-          const auto v = static_cast<std::size_t>(pert.victims[i]);
-          res.trace.note_change(pert.victims[i], live.get(v), pert.values[i]);
-        }
-        res.trace.seal_perturbation(pert.victims);
-      }
-      for (std::size_t i = 0; i < pert.victims.size(); ++i) {
-        cfg.set(static_cast<std::size_t>(pert.victims[i]), pert.values[i]);
-      }
-      bool checker_legit;
-      if (is_dense_update(static_cast<std::int64_t>(pert.victims.size()),
-                          radius, g)) {
-        enabled.begin_rebuild();
-        for (VertexId v = 0; v < g.n(); ++v) {
-          if (proto.enabled(g, live, v)) enabled.append(v);
-        }
-        enabled.end_rebuild();
-        checker_legit = fault_refresh_checker(checker, g, live, pert.victims);
-      } else {
-        enabled.begin_update();
-        const auto& dirty = expander.expand(g, pert.victims, radius);
-        for (VertexId v : dirty) enabled.note(v, proto.enabled(g, live, v));
-        if constexpr (HasBallUpdate<C, State>) {
-          checker_legit = checker.update_radius() == radius
-                              ? checker.on_update_ball(g, live, dirty)
-                              : checker.on_update(g, live, pert.victims);
-        } else {
-          checker_legit = checker.on_update(g, live, pert.victims);
-        }
-        enabled.commit();
-      }
-      note_legitimacy(res.steps, checker_legit);
-      continue;
-    }
-    if (enabled.empty()) {
-      res.terminated = true;
-      break;
-    }
-    // Under fault injection the post-convergence stop must wait for the
-    // last epoch's recovery: epochs exhausted and currently legitimate.
-    if (opt.steps_after_convergence && res.first_legitimate >= 0 &&
-        since_convergence >= *opt.steps_after_convergence &&
-        (!fault_plan || (fault_plan->exhausted() && legit_now))) {
-      break;
-    }
-
-    // The daemon writes into the loop-owned scratch buffer (sorted, per
-    // the select_into contract) — the whole action below runs without
-    // allocating once the buffers reach their high-water capacity.
-    const std::size_t enabled_before = enabled.size();
-    daemon.select_into(g, enabled.view(), res.steps, action);
-    const std::vector<VertexId>& activated = action.active;
-    assert(std::is_sorted(activated.begin(), activated.end()));
-    if (observer) observer(res.steps, live, activated);
-
-    // Composite atomicity: compute all successor states against the
-    // pre-action configuration, then install them.  Dense actions run
-    // through the store's double-buffered column swap — one contiguous
-    // write pass evaluating activated vertices against the swapped-out
-    // pre-action buffer, instead of a full snapshot copy plus scattered
-    // in-place writes; sparse actions stage only the touched pairs.
-    const bool dense = is_dense_update(
-        static_cast<std::int64_t>(activated.size()), radius, g);
-    if (dense) {
-      cfg.dense_apply(activated,
-                      [&](ConfigView<State> prev, VertexId v) {
-                        return proto.apply(g, prev, v);
-                      });
-      if (opt.record_trace) {
-        const ConfigView<State> prev = cfg.prev_view();
-        for (VertexId v : activated) {
-          const auto i = static_cast<std::size_t>(v);
-          res.trace.note_change(v, prev.get(i), live.get(i));
-        }
-        res.trace.seal_action(activated);
-      }
-    } else {
-      updates.clear();
-      updates.reserve(activated.size());
-      for (VertexId v : activated) {
-        updates.emplace_back(v, proto.apply(g, live, v));
-      }
-      if (opt.record_trace) {
-        for (const auto& [v, s] : updates) {
-          res.trace.note_change(v, live.get(static_cast<std::size_t>(v)), s);
-        }
-        res.trace.seal_action(activated);
-      }
-      for (const auto& [v, s] : updates) {
-        cfg.set(static_cast<std::size_t>(v), s);
-      }
-    }
-
-    res.moves += static_cast<std::int64_t>(activated.size());
-    ++res.steps;
-    if (res.first_legitimate >= 0) ++since_convergence;
-
-    // The round counter reads the pre-action enabled set only when a
-    // partial action opens a round; snapshot it then, so the sorted
-    // vector can be edited in place below.
-    const bool by_count =
-        rc.counts_full_action(enabled_before, activated.size());
-    if (!by_count && !rc.round_open()) round_base = enabled.vertices();
-
+  template <class Select>
+  StepOutcome step(Select&& select, bool, DeltaTrace<State>* trace) {
+    const std::vector<VertexId>& activated = select(enabled_.view());
+    const bool dense = is_dense(activated.size());
+    install_action(g_, proto_, cfg_, activated, dense, staged_, trace);
     // Only guards inside the radius-r ball around the activated vertices
     // can have flipped.  When the action touches most of the graph
     // (synchronous and dense distributed daemons), a plain ordered
     // rescan is cheaper than ball expansion.
-    bool checker_legit;
     if (dense) {
-      enabled.begin_rebuild();
-      for (VertexId v = 0; v < g.n(); ++v) {
-        if (proto.enabled(g, live, v)) enabled.append(v);
-      }
-      enabled.end_rebuild();
-      checker_legit = checker.on_update(g, live, activated);
-    } else {
-      enabled.begin_update();
-      const auto& dirty = expander.expand(g, activated, radius);
-      for (VertexId v : dirty) enabled.note(v, proto.enabled(g, live, v));
-      // Share the expanded ball with a same-radius checker instead of
-      // letting it expand the same ball again.
-      if constexpr (HasBallUpdate<C, State>) {
-        checker_legit = checker.update_radius() == radius
-                            ? checker.on_update_ball(g, live, dirty)
-                            : checker.on_update(g, live, activated);
-      } else {
-        checker_legit = checker.on_update(g, live, activated);
-      }
-      enabled.commit();
+      rescan();
+      return {activated.size(), checker_.on_update(g_, live_, activated)};
     }
-    if (by_count) {
-      rc.on_full_action();
-    } else {
-      rc.on_action(round_base, activated, enabled.vertices());
-    }
-
-    note_legitimacy(res.steps, checker_legit);
-  }
-  res.hit_step_cap = !res.terminated && res.steps >= opt.max_steps;
-  res.rounds = rc.completed_rounds();
-  if (fault_plan) res.perturb = fault_plan->finish();
-
-  if (res.first_legitimate >= 0 &&
-      res.first_legitimate <= res.last_illegitimate) {
-    res.first_legitimate =
-        (res.last_illegitimate < res.steps) ? res.last_illegitimate + 1 : -1;
+    return {activated.size(),
+            retest_ball(enabled_, expander_, g_, proto_, live_, radius_,
+                        checker_, activated)};
   }
 
-  res.final_config = cfg.take();
-  return res;
-}
+  EnabledDelta enabled_delta() { return enabled_.delta(); }
 
-/// Convenience overload without a legitimacy checker.
-template <ProtocolConcept P>
-RunResult<typename P::State> run_execution_incremental(
-    const Graph& g, const P& proto, Daemon& daemon,
-    Config<typename P::State> init, const RunOptions& opt) {
-  AlwaysLegitimate checker;
-  return run_execution_incremental(g, proto, daemon, std::move(init), opt,
-                                   checker);
-}
+ private:
+  [[nodiscard]] bool is_dense(std::size_t touched) const {
+    return is_dense_update(static_cast<std::int64_t>(touched), radius_, g_);
+  }
 
-/// Engine dispatcher: runs the engine selected by opt.engine.  The
-/// reference and vector paths evaluate the checker's from-scratch oracle
-/// once per configuration, in execution order, so stateful wrappers
-/// (closure counters) observe the same legitimacy sequence on every
-/// path.
+  void rescan() {
+    enabled_.begin_rebuild();
+    for (VertexId v = 0; v < g_.n(); ++v) {
+      if (proto_.enabled(g_, live_, v)) enabled_.append(v);
+    }
+    enabled_.end_rebuild();
+  }
+
+  const Graph& g_;
+  const P& proto_;
+  ConfigStore<State>& cfg_;
+  const ConfigView<State> live_;
+  C& checker_;
+  const VertexId radius_;
+  EnabledSet enabled_;
+  NeighborhoodExpander expander_;
+  std::vector<State> staged_;
+};
+
+/// Engine dispatcher: runs the step policy selected by opt.engine under
+/// the shared driver.  The reference and vector paths evaluate the
+/// checker's from-scratch oracle once per configuration, in execution
+/// order, so stateful wrappers (closure counters) observe the same
+/// legitimacy sequence on every path.
 template <ProtocolConcept P, class C>
   requires IncrementalLegitimacy<C, typename P::State>
 RunResult<typename P::State> run_with_engine(
@@ -278,24 +144,36 @@ RunResult<typename P::State> run_with_engine(
     const StepObserver<typename P::State>& observer = nullptr,
     FaultPlan<typename P::State>* fault_plan = nullptr) {
   using State = typename P::State;
-  if (opt.engine == EngineKind::kReference) {
-    return run_execution(
-        g, proto, daemon, std::move(init), opt,
-        [&checker](const Graph& gg, ConfigView<State> c) {
-          return checker.full(gg, c);
-        },
-        observer, fault_plan);
+  ConfigStore<State> cfg(std::move(init), opt.layout);
+  const auto drive = [&](auto& policy) {
+    return drive_run(g, daemon, cfg, policy, opt, observer, fault_plan);
+  };
+  switch (opt.engine) {
+    case EngineKind::kReference: {
+      const LegitimacyPredicate<State> legitimate =
+          [&checker](const Graph& gg, ConfigView<State> c) {
+            return checker.full(gg, c);
+          };
+      ReferencePolicy<P> policy(g, proto, cfg, legitimate);
+      return drive(policy);
+    }
+    case EngineKind::kVector: {
+      VectorPolicy<P, C> policy(g, proto, cfg, checker);
+      return drive(policy);
+    }
+    case EngineKind::kParallel: {
+      // Full-set steps need the action to be the whole enabled set by
+      // definition, and nothing that reads it as a vertex list.
+      ParallelPolicy<P, C> policy(
+          g, proto, cfg, checker, opt,
+          daemon.activates_all_enabled() && !observer && !opt.record_trace);
+      return drive(policy);
+    }
+    case EngineKind::kIncremental:
+      break;
   }
-  if (opt.engine == EngineKind::kVector) {
-    return run_execution_vector(g, proto, daemon, std::move(init), opt,
-                                checker, observer, fault_plan);
-  }
-  if (opt.engine == EngineKind::kParallel) {
-    return run_execution_parallel(g, proto, daemon, std::move(init), opt,
-                                  checker, observer, fault_plan);
-  }
-  return run_execution_incremental(g, proto, daemon, std::move(init), opt,
-                                   checker, observer, fault_plan);
+  IncrementalPolicy<P, C> policy(g, proto, cfg, checker);
+  return drive(policy);
 }
 
 }  // namespace specstab

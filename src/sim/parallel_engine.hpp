@@ -1,80 +1,42 @@
-// Sharded parallel execution engine.
+// Sharded parallel step policy.
 //
-// The state-model structure the other engines exploit sequentially is
-// also what makes one daemon action parallelizable: composite atomicity
-// means every activated vertex reads the *pre-action* configuration (the
-// apply phase is embarrassingly parallel), and guards are local —
-// `protocol_locality_radius()` bounds the footprint of an activation to
-// its radius-r ball, so activations whose balls don't overlap commute.
+// Composite atomicity makes one daemon action parallelizable — every
+// activated vertex reads the *pre-action* configuration — and locality
+// bounds an activation's footprint to its radius-r ball
+// (protocol_locality_radius()), so activations whose balls don't overlap
+// commute.  The policy partitions the vertex range into contiguous
+// shards whose interior boundaries are multiples of 64 (aligned to the
+// EnabledSet mask words) and pins shard k to worker k of a ShardPool for
+// the whole run.  A step runs in barrier-separated phases:
 //
-// This engine partitions the vertex range into contiguous shards whose
-// interior boundaries are multiples of 64 — aligned to the EnabledSet
-// mask words — and pins shard k to worker k of a ShardPool for the whole
-// run (no per-step task claiming).  Each step runs in barrier-separated
-// phases:
+//   *dense steps* (is_dense_update): (1) apply + install — shard k writes
+//   the successors of its range into the ConfigStore's inactive double
+//   buffers (ConfigStore::dense_map_range), then one O(1) swap; while
+//   the kernel's verdict bytes are rule codes of the live configuration
+//   (SimdEval successor(), simd_eval.hpp) a successor is the vertex's own
+//   state advanced by its code, not a second guard evaluation; (2) fused
+//   rescan — shard k fills its verdict bytes and mask words (fill_words)
+//   and, when kernel and checker share a ScoreKind, its partial
+//   violation total for one checker.accept_total(); the sorted enabled
+//   vector goes stale; (3) scatter, on demand — when something reads the
+//   sorted vector, each shard decodes its words into its slice.
 //
-//   *dense steps* (is_dense_update), the synchronous/dense-daemon hot
-//   path, are fully fused:
+//   *full-set steps* are dense steps whose action is the whole enabled
+//   set (Daemon::activates_all_enabled(), a fused checker, no observer or
+//   trace): no select_into(), no vertex list — phase 1 walks the shard's
+//   range once from the codes (or the mask words), phase 2 follows, and
+//   the round closes by count.
 //
-//   1. *apply + install* — shard k computes the successor states of the
-//      activated vertices in its range against the pre-action
-//      configuration and writes them straight into the ConfigStore's
-//      inactive double buffers over its own column segment; one
-//      barrier, then a sequential O(1) buffer swap (dense_commit)
-//      publishes the post-action configuration.  When the kernel's
-//      verdict bytes are rule codes (SimdEval successor(),
-//      simd_eval.hpp) and still describe the live configuration, a
-//      successor is the vertex's own state advanced by its code — the
-//      guards are not evaluated a second time;
-//   2. *fused guard rescan* — shard k evaluates its vertex range through
-//      the protocol's SimdEval kernel (simd_eval.hpp; scalar sweep for
-//      protocols without one), packs the verdict bytes into the
-//      EnabledSet's mask words (fill_words — disjoint words by the
-//      64-alignment), and, when the kernel and checker share a
-//      ScoreKind, accumulates its partial violation total; the totals
-//      merge at the barrier into one checker.accept_total() call, so
-//      neither the enabled set nor the legitimacy verdict needs a
-//      sequential pass.  Only the words and the count are published
-//      (end_fill); the sorted enabled vector goes stale;
-//   3. *scatter*, on demand — when something reads the sorted vector (a
-//      daemon that chooses, the sparse path, a fault epoch, the round
-//      counter while a round is open), a prefix sum over the per-shard
-//      counts (prepare_scatter) and one phase in which shard k decodes
-//      its words into its slice (scatter_words) bring it up to date.
-//
-//   *Full-set steps* are dense steps whose action is the whole enabled
-//   set: the daemon says so (Daemon::activates_all_enabled()), the
-//   checker takes fused totals, and no observer or trace wants the
-//   vertex list.  The engine skips select_into() and builds no list:
-//   in phase 1 shard k walks [bounds[k], bounds[k+1]) once
-//   (ConfigStore::dense_map_range), writing own + code, or apply() on
-//   the set bits of its mask words while the codes are stale; phase 2
-//   follows, phase 3 does not run, and the round closes by count
-//   (RoundCounter::on_full_action).  Other dense steps take the same
-//   single pass with a cursor over the shard's slice of the sorted
-//   activation list.
-//
-//   The initial enabled set comes from the same sharded rescan, so the
-//   first dense step applies from codes too, and with a fused checker
-//   its total is gamma_0's verdict (init_from_total).  A dense fault
-//   epoch is repaired by the same rescan.
-
-//   *sparse steps* keep the delta path: successor states computed in
-//   parallel and installed sequentially via set(); each shard re-tests
-//   the activations whose radius-r balls stay inside its range (per-shard
-//   sorted deltas, a shared per-step stamp array with shard-disjoint
-//   writes), boundary-crossing activations defer to a sequential fix-up
-//   pass, and the deltas concatenate in shard order into one
+//   *sparse steps* keep the delta path: successors computed in parallel
+//   and installed sequentially; each shard re-tests the activations whose
+//   balls stay inside its range, boundary-crossers defer to a sequential
+//   fix-up pass, and the sorted deltas merge in shard order into one
 //   EnabledSet::apply_delta().
 //
 // Fresh guard verdicts are pure functions of the post-action
-// configuration, so the resulting enabled set — and with it daemon
-// selection, meters, traces, and every subsequent step — is
+// configuration, so the enabled set — and with it every later step — is
 // byte-identical to the incremental engine at every thread count *by
-// construction*.  The differential suites
-// (tests/parallel_differential_test.cpp and the engine/layout harnesses)
-// hold the engine to that at 1, 2, 8 and 16 threads, including shard
-// counts that split words unevenly and graphs smaller than one word.
+// construction*; tests/parallel_differential_test.cpp holds it to that.
 #ifndef SPECSTAB_SIM_PARALLEL_ENGINE_HPP
 #define SPECSTAB_SIM_PARALLEL_ENGINE_HPP
 
@@ -91,8 +53,9 @@
 #include "graph/graph.hpp"
 #include "sim/daemon.hpp"
 #include "sim/enabled_set.hpp"
-#include "sim/engine.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/protocol.hpp"
+#include "sim/run_driver.hpp"
 #include "sim/simd_eval.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
@@ -195,212 +158,359 @@ struct ShardScratch {
 
 }  // namespace parallel_detail
 
-/// Sharded parallel counterpart of run_execution_incremental(): same
-/// inputs, byte-identical RunResult at every opt.threads value.
+/// The sharded parallel step policy: byte-identical to the incremental
+/// policy at every opt.threads value.  Not copyable: the hoisted phase
+/// bodies capture `this`.
 template <ProtocolConcept P, class C>
   requires IncrementalLegitimacy<C, typename P::State>
-RunResult<typename P::State> run_execution_parallel(
-    const Graph& g, const P& proto, Daemon& daemon,
-    Config<typename P::State> init, const RunOptions& opt, C& checker,
-    const StepObserver<typename P::State>& observer = nullptr,
-    FaultPlan<typename P::State>* fault_plan = nullptr) {
+class ParallelPolicy {
   using State = typename P::State;
-  RunResult<State> res;
-  ConfigStore<State> cfg(std::move(init), opt.layout);
-  const ConfigView<State> live = cfg.view();
-  RoundCounter rc(g.n());
-  const VertexId radius = protocol_locality_radius(proto);
-
-  bool pending_convergence_marker = false;
-  bool legit_now = true;
-  const auto note_legitimacy = [&](StepIndex cfg_index, bool legit) {
-    legit_now = legit;
-    if (fault_plan) fault_plan->meter().on_verdict(cfg_index, legit);
-    if (legit) {
-      if (res.first_legitimate < 0) res.first_legitimate = cfg_index;
-      if (pending_convergence_marker) {
-        res.moves_to_convergence = res.moves;
-        res.rounds_to_convergence = rc.completed_rounds();
-        pending_convergence_marker = false;
-      }
-    } else {
-      res.last_illegitimate = cfg_index;
-      pending_convergence_marker = true;
-    }
-  };
-
-  if (opt.record_trace) res.trace.start(live);
-
-  EnabledSet enabled;
-  enabled.reset(g.n());
-
-  // External pool (campaign / serve host threads) or a run-local one.
-  // The shard count is the requested thread count clamped to the pool —
-  // results are thread-count invariant, so the clamp never changes an
-  // outcome.
-  const std::size_t want = std::max(1u, opt.threads);
-  std::optional<ShardPool> local_pool;
-  ShardPool* pool = opt.pool;
-  if (pool == nullptr) {
-    local_pool.emplace(static_cast<unsigned>(want - 1));
-    pool = &*local_pool;
-  }
-  const std::size_t shards = std::min(want, pool->participants());
-  const auto bounds = parallel_detail::shard_bounds(g.n(), shards);
-
-  const auto run_shards = [&](const std::function<void(std::size_t)>& fn) {
-    pool->run(shards, fn);
-  };
-
   // Whether the guard kernel hands its fused violation totals straight
   // to this run's checker (see kFusedScore in simd_eval.hpp).
-  constexpr bool kFused = kFusedScore<P, C>;
-
+  static constexpr bool kFused = kFusedScore<P, C>;
   // Whether the kernel's verdict bytes are rule codes that the dense
   // install can apply from (see simd_eval.hpp).
-  constexpr bool kRuleCodes = HasRuleCodeSimdEval<P>;
+  static constexpr bool kRuleCodes = HasRuleCodeSimdEval<P>;
 
-  // Whether a dense step may run as a full-set step: the daemon's action
-  // is the whole enabled set by definition, and nothing reads it as a
-  // vertex list — no observer, no trace, and a checker that takes the
-  // fused total instead of the touched vertices.
-  const bool full_set_daemon =
-      daemon.activates_all_enabled() && !observer && !opt.record_trace;
+ public:
+  /// `full_set_daemon`: the daemon's action is the whole enabled set by
+  /// definition and nothing reads it as a vertex list.
+  ParallelPolicy(const Graph& g, const P& proto, ConfigStore<State>& cfg,
+                 C& checker, const RunOptions& opt, bool full_set_daemon)
+      : g_(g),
+        proto_(proto),
+        cfg_(cfg),
+        live_(cfg.view()),
+        checker_(checker),
+        radius_(protocol_locality_radius(proto)),
+        full_set_daemon_(full_set_daemon),
+        kernel_(make_enabled_kernel(g, proto)) {
+    // External pool (campaign / serve host threads) or a run-local one.
+    // The shard count is the requested thread count clamped to the pool
+    // — results are thread-count invariant, so the clamp never changes
+    // an outcome.
+    const std::size_t want = std::max(1u, opt.threads);
+    pool_ = opt.pool;
+    if (pool_ == nullptr) {
+      local_pool_.emplace(static_cast<unsigned>(want - 1));
+      pool_ = &*local_pool_;
+    }
+    shards_ = std::min(want, pool_->participants());
+    bounds_ = parallel_detail::shard_bounds(g.n(), shards_);
+    shard_counts_.assign(shards_, 0);
+    shard_scores_.assign(shards_, 0);
+    // Flush the graph's staged edges before any worker reads adjacency.
+    (void)g.csr();
+  }
+  ParallelPolicy(const ParallelPolicy&) = delete;
+  ParallelPolicy& operator=(const ParallelPolicy&) = delete;
 
+  // The initial enabled set comes from the sharded rescan, so the first
+  // dense step applies from codes too; with a fused checker it also
+  // yields gamma_0's verdict.
+  bool init() {
+    enabled_.reset(g_.n());
+    return fused_init_verdict<kFused>(checker_, g_, live_, dense_rescan());
+  }
+  [[nodiscard]] std::size_t enabled_count() const { return enabled_.size(); }
+
+  // Fault repair runs sequentially (epochs are rare; shard parallelism
+  // buys nothing on a k-vertex ball) and mirrors the incremental
+  // policy's exactly; a dense corruption is repaired by the sharded
+  // rescan instead.
+  bool repair(const std::vector<VertexId>& victims) {
+    verdicts_live_ = false;
+    if (is_dense(victims.size())) {
+      return fused_verdict<kFused>(checker_, dense_rescan(), [&] {
+        return fault_refresh_checker(checker_, g_, live_, victims);
+      });
+    }
+    ensure_sparse_scratch();
+    sort_enabled();
+    return retest_ball(enabled_, *fixup_expander_, g_, proto_, live_,
+                       radius_, checker_, victims);
+  }
+
+  template <class Select>
+  StepOutcome step(Select&& select, [[maybe_unused]] bool round_open,
+                   DeltaTrace<State>* trace) {
+    // Full-set step: no daemon call, no vertex list — install from the
+    // codes (or the mask words), one O(1) buffer swap, the fused rescan;
+    // the driver closes the round by count.
+    if constexpr (kFused) {
+      const std::size_t enabled_before = enabled_.size();
+      if (full_set_daemon_ && !round_open && is_dense(enabled_before)) {
+        cfg_.dense_begin();
+        run_shards(full_install_phase_);
+        cfg_.dense_commit();
+        return {enabled_before, checker_.accept_total(dense_rescan())};
+      }
+    }
+
+    sort_enabled();
+    const std::vector<VertexId>& activated = select(enabled_.view());
+    activated_ = &activated;
+    if (is_dense(activated.size())) {
+      // Fused apply + install: one parallel phase writes the inactive
+      // double buffers, one O(1) swap publishes them.
+      cfg_.dense_begin();
+      run_shards(dense_install_phase_);
+      cfg_.dense_commit();
+      if (trace) record_dense_action(*trace, activated, cfg_);
+      // Sharded rescan; identical set contents to the incremental
+      // policy's ordered full rescan.
+      const std::int64_t total = dense_rescan();
+      return {activated.size(), fused_verdict<kFused>(checker_, total, [&] {
+                return checker_.on_update(g_, live_, activated);
+              })};
+    }
+
+    staged_.resize(activated.size());
+    sparse_per_ = (activated.size() + shards_ - 1) / shards_;
+    run_shards(sparse_apply_phase_);
+    install_staged(cfg_, activated, staged_, trace);
+    sparse_retest();
+    // The checker runs sequentially on the post-action configuration —
+    // same call, same verdict as the incremental policy's.
+    return {activated.size(), checker_.on_update(g_, live_, activated)};
+  }
+
+  EnabledDelta enabled_delta() {
+    sort_enabled();
+    return enabled_.delta();
+  }
+
+ private:
+  [[nodiscard]] bool is_dense(std::size_t touched) const {
+    return is_dense_update(static_cast<std::int64_t>(touched), radius_, g_);
+  }
+
+  void run_shards(const std::function<void(std::size_t)>& fn) {
+    pool_->run(shards_, fn);
+  }
+
+  // Sparse-path scratch, allocated on the first sparse step or fault
+  // epoch (dense-only runs never pay its O(n) per shard).
+  void ensure_sparse_scratch() {
+    if (fixup_expander_) return;
+    scratch_.reserve(shards_);
+    for (std::size_t k = 0; k < shards_; ++k) scratch_.emplace_back(g_.n());
+    touched_.assign(static_cast<std::size_t>(g_.n()), 0);
+    fixup_expander_.emplace(g_.n());
+  }
+
+  // The sharded dense rescan: fresh verdicts and mask words, the enabled
+  // count, and the fused violation total (0 unless kFused).  The sorted
+  // vector is left stale until sort_enabled() decodes it.
+  std::int64_t dense_rescan() {
+    enabled_.begin_fill();
+    run_shards(dense_rescan_phase_);
+    std::size_t count = 0;
+    std::int64_t total = 0;
+    for (std::size_t k = 0; k < shards_; ++k) {
+      count += shard_counts_[k];
+      total += shard_scores_[k];
+    }
+    enabled_.end_fill(count);
+    verdicts_live_ = true;
+    return total;
+  }
+
+  // Decodes a stale sorted vector through the sharded scatter — the only
+  // decode; every reader of the vector runs after it.  While the vector
+  // is stale the words are exactly those of the last fill (every other
+  // edit requires a current vector), so its shard counts still hold.
+  void sort_enabled() {
+    if (enabled_.sorted_current()) return;
+    enabled_.prepare_scatter(shard_counts_, shard_offsets_);
+    run_shards(dense_scatter_phase_);
+  }
+
+  // Dense install over shard k's vertex range in one pass: vertex i gets
+  // its successor when take(i) holds and carries its state over
+  // otherwise, written straight into the inactive double buffers.
+  // While the verdict buffer is live a successor is the vertex's own
+  // state advanced by its rule code; otherwise proto.apply() runs.  No
+  // cross-shard reads: the live buffers are immutable until
+  // dense_commit().
+  template <class Take>
+  void install_range(std::size_t k, Take&& take) {
+    const auto lo = static_cast<std::size_t>(bounds_[k]);
+    const auto hi = static_cast<std::size_t>(bounds_[k + 1]);
+    const ConfigView<State> live = live_;
+    const P& proto = proto_;
+    if constexpr (kRuleCodes) {
+      if (verdicts_live_) {
+        const std::uint8_t* code = kernel_.verdicts.data();
+        cfg_.dense_map_range(lo, hi, [&](std::size_t i) {
+          const State own = live.get(i);
+          return take(i) ? SimdEval<P>::successor(proto, own, code[i]) : own;
+        });
+        return;
+      }
+    }
+    cfg_.dense_map_range(lo, hi, [&](std::size_t i) {
+      return take(i) ? proto.apply(g_, live, static_cast<VertexId>(i))
+                     : live.get(i);
+    });
+  }
+
+  // Sparse guard re-test: per-shard interior balls in parallel, then the
+  // sequential fix-up pass for boundary-crossing activations, and one
+  // merged delta.
+  void sparse_retest() {
+    ensure_sparse_scratch();
+    verdicts_live_ = false;
+    if (++step_gen_ == 0) {
+      std::fill(touched_.begin(), touched_.end(), 0);
+      step_gen_ = 1;
+    }
+    run_shards(sparse_retest_phase_);
+
+    // Merge: shard deltas concatenate sorted (shard ranges ascend).
+    merged_added_.clear();
+    merged_removed_.clear();
+    boundary_all_.clear();
+    for (const auto& sc : scratch_) {
+      merged_added_.insert(merged_added_.end(), sc.added.begin(),
+                           sc.added.end());
+      merged_removed_.insert(merged_removed_.end(), sc.removed.begin(),
+                             sc.removed.end());
+      boundary_all_.insert(boundary_all_.end(), sc.boundary.begin(),
+                           sc.boundary.end());
+    }
+    // Sequential fix-up: boundary-crossing activations, expanded
+    // together; stamped vertices were already re-tested by a shard.  Its
+    // flips (disjoint from the shards' by the stamp dedup) merge in.
+    const std::size_t shard_added = merged_added_.size();
+    const std::size_t shard_removed = merged_removed_.size();
+    if (!boundary_all_.empty()) {
+      const auto& dirty = fixup_expander_->expand(g_, boundary_all_, radius_);
+      for (VertexId u : dirty) {
+        auto& stamp = touched_[static_cast<std::size_t>(u)];
+        if (stamp == step_gen_) continue;
+        stamp = step_gen_;
+        const bool now = proto_.enabled(g_, live_, u);
+        if (now == enabled_.contains(u)) continue;
+        (now ? merged_added_ : merged_removed_).push_back(u);
+      }
+    }
+    std::inplace_merge(merged_added_.begin(),
+                       merged_added_.begin() + shard_added,
+                       merged_added_.end());
+    std::inplace_merge(merged_removed_.begin(),
+                       merged_removed_.begin() + shard_removed,
+                       merged_removed_.end());
+    enabled_.apply_delta(merged_added_, merged_removed_);
+  }
+
+  const Graph& g_;
+  const P& proto_;
+  ConfigStore<State>& cfg_;
+  const ConfigView<State> live_;
+  C& checker_;
+  const VertexId radius_;
+  const bool full_set_daemon_;
+
+  std::optional<ShardPool> local_pool_;
+  ShardPool* pool_ = nullptr;
+  std::size_t shards_ = 1;
+  std::vector<VertexId> bounds_;
+
+  EnabledSet enabled_;
   // Shared guard-kernel state (context + padded verdict bytes): shards
   // write disjoint verdict ranges, so one buffer serves all of them.
-  auto kernel = make_enabled_kernel(g, proto);
-  // Flush the graph's staged edges before any worker reads adjacency.
-  (void)g.csr();
-  // True while kernel.verdicts holds the guard verdicts of the live
+  decltype(make_enabled_kernel(std::declval<const Graph&>(),
+                               std::declval<const P&>())) kernel_;
+  // True while kernel_.verdicts holds the guard verdicts of the live
   // configuration: after every dense rescan (the initial scan and dense
   // fault epochs included), but not after a sparse re-test or a sparse
   // fault epoch, which re-test balls through proto.enabled() only.
-  bool verdicts_live = false;
+  bool verdicts_live_ = false;
 
-  // Sparse-path scratch, allocated on the first sparse step or fault
-  // epoch (dense-only runs never pay its O(n) per shard):
-  //   - per-shard expanders and delta buffers;
-  //   - per-step touched stamps that deduplicate ball overlaps — workers
-  //     stamp only vertices inside their own shard range (interior
-  //     balls), the sequential fix-up pass stamps anywhere;
-  //   - the fix-up expander, shared with the fault repair.
-  std::vector<parallel_detail::ShardScratch> scratch;
-  std::vector<std::uint32_t> touched;
-  std::uint32_t step_gen = 0;
-  std::optional<NeighborhoodExpander> fixup_expander;
-  const auto ensure_sparse_scratch = [&] {
-    if (fixup_expander) return;
-    scratch.reserve(shards);
-    for (std::size_t k = 0; k < shards; ++k) scratch.emplace_back(g.n());
-    touched.assign(static_cast<std::size_t>(g.n()), 0);
-    fixup_expander.emplace(g.n());
-  };
+  // Sparse-path scratch (see ensure_sparse_scratch()): per-shard
+  // expanders and delta buffers; per-step touched stamps that
+  // deduplicate ball overlaps — workers stamp only vertices inside their
+  // own shard range, the fix-up pass stamps anywhere; the fix-up
+  // expander, shared with the fault repair.
+  std::vector<parallel_detail::ShardScratch> scratch_;
+  std::vector<std::uint32_t> touched_;
+  std::uint32_t step_gen_ = 0;
+  std::optional<NeighborhoodExpander> fixup_expander_;
 
-  ActionBuffer action;
-  const std::vector<VertexId>& activated = action.active;
-  std::vector<VertexId> round_base;
-  std::vector<State> staged;
-  std::vector<VertexId> merged_added, merged_removed;
-  std::vector<VertexId> fix_added, fix_removed, boundary_all;
-  std::vector<std::size_t> shard_counts(shards, 0), shard_offsets;
-  std::vector<std::int64_t> shard_scores(shards, 0);
-  std::size_t sparse_per = 0;
+  // Per-step state the phases read.
+  const std::vector<VertexId>* activated_ = nullptr;
+  std::vector<State> staged_;
+  std::vector<VertexId> merged_added_, merged_removed_, boundary_all_;
+  std::vector<std::size_t> shard_counts_, shard_offsets_;
+  std::vector<std::int64_t> shard_scores_;
+  std::size_t sparse_per_ = 0;
 
   // The phase bodies are hoisted std::functions so the hot loop never
-  // re-allocates closures; per-step state flows through the captured
-  // locals above.
+  // re-allocates closures; per-step state flows through the members
+  // above.
 
-  // Full-set install: the action is the whole enabled set, so shard k
-  // walks its vertex range once and writes every successor straight
-  // into the inactive double buffers.  While the verdict buffer is live
-  // a successor is the vertex's own state advanced by its rule code (0 =
-  // disabled, the state carries over); otherwise proto.apply() runs on
-  // the set bits of the shard's mask words.
-  const std::function<void(std::size_t)> full_install_phase =
-      [&](std::size_t k) {
-        const auto lo = static_cast<std::size_t>(bounds[k]);
-        const auto hi = static_cast<std::size_t>(bounds[k + 1]);
-        if constexpr (kRuleCodes) {
-          if (verdicts_live) {
-            const std::uint8_t* code = kernel.verdicts.data();
-            cfg.dense_map_range(lo, hi, [&](std::size_t i) {
-              const State own = live.get(i);
-              return code[i] != 0
-                         ? SimdEval<P>::successor(proto, own, code[i])
-                         : own;
-            });
-            return;
-          }
+  // Full-set install: the action is the whole enabled set — the vertices
+  // with a non-zero rule code while the codes are live (0 = disabled),
+  // the set bits of the mask words otherwise.
+  const std::function<void(std::size_t)> full_install_phase_ =
+      [this](std::size_t k) {
+        const std::uint8_t* code = kernel_.verdicts.data();
+        if (kRuleCodes && verdicts_live_) {
+          install_range(k, [code](std::size_t i) { return code[i] != 0; });
+        } else {
+          install_range(k, [this](std::size_t i) {
+            return enabled_.contains(static_cast<VertexId>(i));
+          });
         }
-        cfg.dense_map_range(lo, hi, [&](std::size_t i) {
-          const auto v = static_cast<VertexId>(i);
-          return enabled.contains(v) ? proto.apply(g, live, v) : live.get(i);
-        });
       };
 
-  // Partial dense install: the same single pass over the shard's range,
-  // with an ascending cursor into its slice of the sorted activation
-  // list — activated vertices get their successor, every other vertex
-  // carries its state over.  No cross-shard reads: the live buffers are
-  // immutable until dense_commit().
-  const std::function<void(std::size_t)> dense_install_phase =
-      [&](std::size_t k) {
-        const auto lo = static_cast<std::size_t>(bounds[k]);
-        const auto hi = static_cast<std::size_t>(bounds[k + 1]);
+  // Partial dense install: an ascending cursor into the shard's slice of
+  // the sorted activation list.
+  const std::function<void(std::size_t)> dense_install_phase_ =
+      [this](std::size_t k) {
+        const std::vector<VertexId>& activated = *activated_;
         const VertexId* next_active = std::lower_bound(
-            activated.data(), activated.data() + activated.size(), bounds[k]);
+            activated.data(), activated.data() + activated.size(),
+            bounds_[k]);
         const VertexId* const last = activated.data() + activated.size();
         // Branch-free advance: half-activated ranges would mispredict.
-        const auto take = [&](std::size_t i) {
+        install_range(k, [&](std::size_t i) {
           const bool hit = next_active != last &&
                            static_cast<std::size_t>(*next_active) == i;
           next_active += hit;
           return hit;
-        };
-        if constexpr (kRuleCodes) {
-          if (verdicts_live) {
-            const std::uint8_t* code = kernel.verdicts.data();
-            cfg.dense_map_range(lo, hi, [&](std::size_t i) {
-              const State own = live.get(i);
-              return take(i) ? SimdEval<P>::successor(proto, own, code[i])
-                             : own;
-            });
-            return;
-          }
-        }
-        cfg.dense_map_range(lo, hi, [&](std::size_t i) {
-          return take(i) ? proto.apply(g, live, static_cast<VertexId>(i))
-                         : live.get(i);
         });
       };
 
   // Dense rescan over the shard's vertex range: SimdEval kernel (or
   // scalar sweep) into the shared verdict buffer, packed into the
   // shard's own mask words, partial score total kept.
-  const std::function<void(std::size_t)> dense_rescan_phase =
-      [&](std::size_t k) {
-        const VertexId lo = bounds[k];
-        const VertexId hi = bounds[k + 1];
-        shard_scores[k] = fill_verdicts<kFused>(kernel, g, proto, live, lo, hi);
-        shard_counts[k] = enabled.fill_words(lo, hi, kernel.verdicts.data());
+  const std::function<void(std::size_t)> dense_rescan_phase_ =
+      [this](std::size_t k) {
+        const VertexId lo = bounds_[k];
+        const VertexId hi = bounds_[k + 1];
+        shard_scores_[k] =
+            fill_verdicts<kFused>(kernel_, g_, proto_, live_, lo, hi);
+        shard_counts_[k] = enabled_.fill_words(lo, hi, kernel_.verdicts.data());
       };
 
   // On-demand scatter: the shard's words into its slice of the sorted
   // enabled vector.
-  const std::function<void(std::size_t)> dense_scatter_phase =
-      [&](std::size_t k) {
-        enabled.scatter_words(bounds[k], bounds[k + 1], shard_offsets[k]);
+  const std::function<void(std::size_t)> dense_scatter_phase_ =
+      [this](std::size_t k) {
+        enabled_.scatter_words(bounds_[k], bounds_[k + 1], shard_offsets_[k]);
       };
 
   // Sparse apply phase: successor states chunked evenly (composite
   // atomicity — every activation reads the pre-action configuration).
-  const std::function<void(std::size_t)> sparse_apply_phase =
-      [&](std::size_t k) {
-        const std::size_t lo = std::min(activated.size(), k * sparse_per);
-        const std::size_t hi = std::min(activated.size(), lo + sparse_per);
+  const std::function<void(std::size_t)> sparse_apply_phase_ =
+      [this](std::size_t k) {
+        const std::vector<VertexId>& activated = *activated_;
+        const std::size_t lo = std::min(activated.size(), k * sparse_per_);
+        const std::size_t hi = std::min(activated.size(), lo + sparse_per_);
         for (std::size_t j = lo; j < hi; ++j) {
-          staged[j] = proto.apply(g, live, activated[j]);
+          staged_[j] = proto_.apply(g_, live_, activated[j]);
         }
       };
 
@@ -408,308 +518,38 @@ RunResult<typename P::State> run_execution_parallel(
   // whose balls stay inside the range; the rest are deferred.  Pre-step
   // membership comes from the mask words (apply_delta runs after the
   // barrier).
-  const std::function<void(std::size_t)> sparse_retest_phase =
-      [&](std::size_t k) {
-        auto& sc = scratch[k];
+  const std::function<void(std::size_t)> sparse_retest_phase_ =
+      [this](std::size_t k) {
+        auto& sc = scratch_[k];
         sc.added.clear();
         sc.removed.clear();
         sc.boundary.clear();
+        const std::vector<VertexId>& activated = *activated_;
         const auto first = std::lower_bound(activated.begin(),
-                                            activated.end(), bounds[k]);
+                                            activated.end(), bounds_[k]);
         const auto last = std::lower_bound(activated.begin(),
-                                           activated.end(), bounds[k + 1]);
+                                           activated.end(), bounds_[k + 1]);
         for (auto it = first; it != last; ++it) {
           const VertexId v = *it;
           sc.seed.assign(1, v);
-          const auto& ball = sc.expander.expand(g, sc.seed, radius);
-          if (ball.front() < bounds[k] || ball.back() >= bounds[k + 1]) {
+          const auto& ball = sc.expander.expand(g_, sc.seed, radius_);
+          if (ball.front() < bounds_[k] || ball.back() >= bounds_[k + 1]) {
             sc.boundary.push_back(v);
             continue;
           }
           for (VertexId u : ball) {
-            auto& stamp = touched[static_cast<std::size_t>(u)];
-            if (stamp == step_gen) continue;
-            stamp = step_gen;
-            const bool now = proto.enabled(g, live, u);
-            if (now == enabled.contains(u)) continue;
+            auto& stamp = touched_[static_cast<std::size_t>(u)];
+            if (stamp == step_gen_) continue;
+            stamp = step_gen_;
+            const bool now = proto_.enabled(g_, live_, u);
+            if (now == enabled_.contains(u)) continue;
             (now ? sc.added : sc.removed).push_back(u);
           }
         }
         std::sort(sc.added.begin(), sc.added.end());
         std::sort(sc.removed.begin(), sc.removed.end());
       };
-
-  // The sharded dense rescan: fresh verdicts and mask words, the enabled
-  // count, and the fused violation total (0 unless kFused).  The sorted
-  // vector is left stale until sort_enabled() or a read decodes it.
-  const auto dense_rescan = [&]() -> std::int64_t {
-    run_shards(dense_rescan_phase);
-    std::size_t count = 0;
-    std::int64_t total = 0;
-    for (std::size_t k = 0; k < shards; ++k) {
-      count += shard_counts[k];
-      total += shard_scores[k];
-    }
-    enabled.end_fill(count);
-    verdicts_live = true;
-    return total;
-  };
-  // Decodes a stale sorted vector through the sharded scatter — the only
-  // decode; every reader of the vector runs after it.  While the vector
-  // is stale the words are exactly those of the last fill (every other
-  // edit requires a current vector), so its shard counts still hold.
-  const auto sort_enabled = [&] {
-    if (enabled.sorted_current()) return;
-    enabled.prepare_scatter(shard_counts, shard_offsets);
-    run_shards(dense_scatter_phase);
-  };
-
-  // Initial scan: the same sharded rescan, so the first dense step
-  // applies from codes too; with a fused checker it also yields gamma_0's
-  // verdict.
-  const std::int64_t initial_total = dense_rescan();
-  if constexpr (kFused) {
-    note_legitimacy(0, checker.init_from_total(g, initial_total));
-  } else {
-    (void)initial_total;
-    note_legitimacy(0, checker.init(g, live));
-  }
-
-  StepIndex since_convergence = 0;
-  while (res.steps < opt.max_steps) {
-    // Fault injection: corruption and repair run sequentially (epochs are
-    // rare; shard parallelism buys nothing on a k-vertex ball) and mirror
-    // the incremental engine's repair exactly, so perturbed runs stay
-    // byte-identical at every thread count.  A dense corruption is
-    // repaired by the sharded rescan instead.
-    if (fault_plan && fault_plan->due(res.steps, enabled.empty())) {
-      const Perturbation<State>& pert = fault_plan->fire(g, live, res.steps);
-      if (opt.record_trace) {
-        for (std::size_t i = 0; i < pert.victims.size(); ++i) {
-          const auto v = static_cast<std::size_t>(pert.victims[i]);
-          res.trace.note_change(pert.victims[i], live.get(v), pert.values[i]);
-        }
-        res.trace.seal_perturbation(pert.victims);
-      }
-      for (std::size_t i = 0; i < pert.victims.size(); ++i) {
-        cfg.set(static_cast<std::size_t>(pert.victims[i]), pert.values[i]);
-      }
-      verdicts_live = false;
-      bool checker_legit;
-      if (is_dense_update(static_cast<std::int64_t>(pert.victims.size()),
-                          radius, g)) {
-        const std::int64_t total = dense_rescan();
-        if constexpr (kFused) {
-          checker_legit = checker.accept_total(total);
-        } else {
-          (void)total;
-          checker_legit = fault_refresh_checker(checker, g, live, pert.victims);
-        }
-      } else {
-        ensure_sparse_scratch();
-        sort_enabled();
-        enabled.begin_update();
-        const auto& dirty = fixup_expander->expand(g, pert.victims, radius);
-        for (VertexId v : dirty) enabled.note(v, proto.enabled(g, live, v));
-        if constexpr (HasBallUpdate<C, State>) {
-          checker_legit = checker.update_radius() == radius
-                              ? checker.on_update_ball(g, live, dirty)
-                              : checker.on_update(g, live, pert.victims);
-        } else {
-          checker_legit = checker.on_update(g, live, pert.victims);
-        }
-        enabled.commit();
-      }
-      note_legitimacy(res.steps, checker_legit);
-      continue;
-    }
-    if (enabled.empty()) {
-      res.terminated = true;
-      break;
-    }
-    // Under fault injection the post-convergence stop must wait for the
-    // last epoch's recovery: epochs exhausted and currently legitimate.
-    if (opt.steps_after_convergence && res.first_legitimate >= 0 &&
-        since_convergence >= *opt.steps_after_convergence &&
-        (!fault_plan || (fault_plan->exhausted() && legit_now))) {
-      break;
-    }
-
-    const std::size_t enabled_before = enabled.size();
-
-    // Full-set step: no daemon call, no vertex list — install from the
-    // codes (or the mask words), one O(1) buffer swap, the fused rescan,
-    // and the round closes by count.
-    if constexpr (kFused) {
-      if (full_set_daemon && !rc.round_open() &&
-          is_dense_update(static_cast<std::int64_t>(enabled_before), radius,
-                          g)) {
-        cfg.dense_begin();
-        run_shards(full_install_phase);
-        cfg.dense_commit();
-        res.moves += static_cast<std::int64_t>(enabled_before);
-        ++res.steps;
-        if (res.first_legitimate >= 0) ++since_convergence;
-        const bool checker_legit = checker.accept_total(dense_rescan());
-        rc.on_full_action();
-        note_legitimacy(res.steps, checker_legit);
-        continue;
-      }
-    }
-
-    sort_enabled();
-    daemon.select_into(g, enabled.view(), res.steps, action);
-    assert(std::is_sorted(activated.begin(), activated.end()));
-    if (observer) observer(res.steps, live, activated);
-
-    const bool dense = is_dense_update(
-        static_cast<std::int64_t>(activated.size()), radius, g);
-    if (dense) {
-      // Fused apply + install: one parallel phase writes the inactive
-      // double buffers, one O(1) swap publishes them.  Trace recording
-      // reads the swapped-out pre-action states through prev_view().
-      cfg.dense_begin();
-      run_shards(dense_install_phase);
-      cfg.dense_commit();
-      if (opt.record_trace) {
-        const ConfigView<State> prev = cfg.prev_view();
-        for (const VertexId v : activated) {
-          const auto i = static_cast<std::size_t>(v);
-          res.trace.note_change(v, prev.get(i), live.get(i));
-        }
-        res.trace.seal_action(activated);
-      }
-    } else {
-      staged.resize(activated.size());
-      sparse_per =
-          (activated.size() + shards - 1) / std::max<std::size_t>(1, shards);
-      run_shards(sparse_apply_phase);
-      if (opt.record_trace) {
-        for (std::size_t j = 0; j < activated.size(); ++j) {
-          const auto i = static_cast<std::size_t>(activated[j]);
-          res.trace.note_change(activated[j], live.get(i), staged[j]);
-        }
-        res.trace.seal_action(activated);
-      }
-      for (std::size_t j = 0; j < activated.size(); ++j) {
-        cfg.set(static_cast<std::size_t>(activated[j]), staged[j]);
-      }
-    }
-
-    res.moves += static_cast<std::int64_t>(activated.size());
-    ++res.steps;
-    if (res.first_legitimate >= 0) ++since_convergence;
-
-    // The round counter reads the pre-action enabled set only when a
-    // partial action opens a round; snapshot it then, before the re-test
-    // below replaces it.
-    const bool by_count =
-        rc.counts_full_action(enabled_before, activated.size());
-    if (!by_count && !rc.round_open()) round_base = enabled.vertices();
-
-    // --- Guard re-test phase.
-    bool checker_legit;
-    if (dense) {
-      // Sharded rescan; identical set contents to the incremental
-      // engine's ordered full rescan.
-      const std::int64_t total = dense_rescan();
-      if constexpr (kFused) {
-        checker_legit = checker.accept_total(total);
-      } else {
-        (void)total;
-        checker_legit = checker.on_update(g, live, activated);
-      }
-    } else {
-      ensure_sparse_scratch();
-      verdicts_live = false;
-      if (++step_gen == 0) {
-        std::fill(touched.begin(), touched.end(), 0);
-        step_gen = 1;
-      }
-      run_shards(sparse_retest_phase);
-
-      // Sequential fix-up: boundary-crossing activations, expanded
-      // together; stamped vertices were already re-tested by a shard.
-      boundary_all.clear();
-      fix_added.clear();
-      fix_removed.clear();
-      for (std::size_t k = 0; k < shards; ++k) {
-        boundary_all.insert(boundary_all.end(), scratch[k].boundary.begin(),
-                            scratch[k].boundary.end());
-      }
-      if (!boundary_all.empty()) {
-        const auto& dirty = fixup_expander->expand(g, boundary_all, radius);
-        for (VertexId u : dirty) {
-          auto& stamp = touched[static_cast<std::size_t>(u)];
-          if (stamp == step_gen) continue;
-          stamp = step_gen;
-          const bool now = proto.enabled(g, live, u);
-          if (now == enabled.contains(u)) continue;
-          (now ? fix_added : fix_removed).push_back(u);
-        }
-      }
-
-      // Merge: shard deltas concatenate sorted (shard ranges ascend);
-      // fix-up deltas merge in (disjoint by the stamp dedup).
-      merged_added.clear();
-      merged_removed.clear();
-      for (std::size_t k = 0; k < shards; ++k) {
-        merged_added.insert(merged_added.end(), scratch[k].added.begin(),
-                            scratch[k].added.end());
-        merged_removed.insert(merged_removed.end(),
-                              scratch[k].removed.begin(),
-                              scratch[k].removed.end());
-      }
-      if (!fix_added.empty()) {
-        const auto mid = merged_added.insert(merged_added.end(),
-                                             fix_added.begin(),
-                                             fix_added.end());
-        std::inplace_merge(merged_added.begin(), mid, merged_added.end());
-      }
-      if (!fix_removed.empty()) {
-        const auto mid = merged_removed.insert(merged_removed.end(),
-                                               fix_removed.begin(),
-                                               fix_removed.end());
-        std::inplace_merge(merged_removed.begin(), mid,
-                           merged_removed.end());
-      }
-      enabled.apply_delta(merged_added, merged_removed);
-      // The checker runs sequentially on the post-action configuration —
-      // same call, same verdict as the incremental engine's.
-      checker_legit = checker.on_update(g, live, activated);
-    }
-
-    if (by_count) {
-      rc.on_full_action();
-    } else {
-      sort_enabled();
-      rc.on_action(round_base, activated, enabled.vertices());
-    }
-    note_legitimacy(res.steps, checker_legit);
-  }
-  res.hit_step_cap = !res.terminated && res.steps >= opt.max_steps;
-  res.rounds = rc.completed_rounds();
-  if (fault_plan) res.perturb = fault_plan->finish();
-
-  if (res.first_legitimate >= 0 &&
-      res.first_legitimate <= res.last_illegitimate) {
-    res.first_legitimate =
-        (res.last_illegitimate < res.steps) ? res.last_illegitimate + 1 : -1;
-  }
-
-  res.final_config = cfg.take();
-  return res;
-}
-
-/// Convenience overload without a legitimacy checker.
-template <ProtocolConcept P>
-RunResult<typename P::State> run_execution_parallel(
-    const Graph& g, const P& proto, Daemon& daemon,
-    Config<typename P::State> init, const RunOptions& opt) {
-  AlwaysLegitimate checker;
-  return run_execution_parallel(g, proto, daemon, std::move(init), opt,
-                                checker);
-}
+};
 
 }  // namespace specstab
 

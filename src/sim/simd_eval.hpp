@@ -205,6 +205,34 @@ inline constexpr bool kFusedScore = [] {
   }
 }();
 
+/// The checker's verdict on the configuration a guard pass just scanned:
+/// the pass's fused violation total when `Fused` (kFusedScore), the
+/// unfused() fallback otherwise.
+template <bool Fused, class C, class Unfused>
+bool fused_verdict(C& checker, std::int64_t total, Unfused&& unfused) {
+  if constexpr (Fused) {
+    return checker.accept_total(total);
+  } else {
+    (void)checker;
+    (void)total;
+    return unfused();
+  }
+}
+
+/// gamma_0's verdict after the initial guard pass: init_from_total() on
+/// its fused total when `Fused`, the checker's from-scratch init()
+/// otherwise.
+template <bool Fused, class C, class State>
+bool fused_init_verdict(C& checker, const Graph& g, ConfigView<State> live,
+                        std::int64_t total) {
+  if constexpr (Fused) {
+    return checker.init_from_total(g, total);
+  } else {
+    (void)total;
+    return checker.init(g, live);
+  }
+}
+
 // --- Shared kernel state -------------------------------------------------
 
 namespace simd_detail {

@@ -223,20 +223,52 @@ class DeltaTrace {
   std::vector<std::uint8_t> perturbation_;  // one flag per record
 };
 
-/// Incremental round counter fed with (enabled-before, activated,
-/// enabled-after) triples, one per action — or, for an action that
-/// activates the whole enabled set at a round boundary, with nothing but
-/// the sizes (on_full_action()).
+/// How one action changed the enabled set: the vertices that entered it
+/// and left it, and the post-action set, all sorted ascending.
+struct EnabledDelta {
+  std::span<const VertexId> added;
+  std::span<const VertexId> removed;
+  std::span<const VertexId> after;
+};
+
+/// Writes after \ before into `added` and before \ after into `removed`
+/// (both sorted) in one merge pass over two sorted sets.
+void diff_sorted(std::span<const VertexId> before,
+                 std::span<const VertexId> after,
+                 std::vector<VertexId>& added, std::vector<VertexId>& removed);
+
+/// Incremental round counter fed once per action — with nothing but the
+/// sizes for an action that activates the whole enabled set at a round
+/// boundary (on_full_action()), with the action and the enabled set's
+/// delta otherwise.
+///
+/// A round waits on the vertices enabled when it opens; a pending vertex
+/// leaves it when activated, or when it is neutralised (absent from the
+/// enabled set after an action).  Between actions every pending vertex is
+/// enabled, so only the vertices that left the enabled set in an action
+/// can be neutralised by it: an open round costs O(|activated| +
+/// |removed|) per action, and opening one O(|after|).  A perturbation
+/// edits the enabled set outside any action, so the first action after
+/// one re-checks every pending vertex (O(n)).
 class RoundCounter {
  public:
   explicit RoundCounter(VertexId n);
 
-  /// Accounts one action.  `enabled_before` is the enabled set in the
-  /// pre-configuration, `activated` the daemon's choice, `enabled_after`
-  /// the enabled set in the post-configuration.  All sorted.
+  /// Accounts one action from explicit sets.  `enabled_before` is the
+  /// enabled set in the pre-configuration (read only when the action
+  /// opens a round; any superset of the pending vertices otherwise),
+  /// `activated` the daemon's choice, `enabled_after` the enabled set in
+  /// the post-configuration.  All sorted.  Derives the delta in one merge
+  /// pass, O(|enabled_before| + |enabled_after|).
   void on_action(const std::vector<VertexId>& enabled_before,
                  const std::vector<VertexId>& activated,
                  const std::vector<VertexId>& enabled_after);
+
+  /// Accounts one action for which counts_full_action() does not hold:
+  /// `activated` (sorted) is the daemon's choice and `delta` the enabled
+  /// set's change across the action.
+  void on_action(std::span<const VertexId> activated,
+                 const EnabledDelta& delta);
 
   /// Whether an action activating `activated` of the `enabled_before`
   /// vertices enabled before it is accounted by count alone: a full
@@ -250,23 +282,34 @@ class RoundCounter {
   /// Accounts an action for which counts_full_action() holds.
   void on_full_action() noexcept { ++rounds_; }
 
+  /// Notes a perturbation of the configuration between actions: pending
+  /// vertices it disabled are neutralised by the next action unless that
+  /// action leaves them enabled.
+  void on_perturbation() noexcept { resync_ = round_open_; }
+
   /// Number of completed rounds so far.
   [[nodiscard]] StepIndex completed_rounds() const noexcept { return rounds_; }
 
-  /// True while a round is in progress.  on_action() reads
-  /// `enabled_before` only when no round is open and the action is not
-  /// counted by counts_full_action(), so engines that track the enabled
-  /// set incrementally snapshot it only then.
+  /// True while a round is in progress.
   [[nodiscard]] bool round_open() const noexcept { return round_open_; }
 
   void reset();
 
  private:
+  /// Clears v's pending flag if set.
+  void settle(VertexId v) {
+    char& flag = pending_[static_cast<std::size_t>(v)];
+    pending_count_ -= flag;
+    flag = 0;
+  }
+
   VertexId n_;
   bool round_open_ = false;
+  bool resync_ = false;        // a perturbation hit the open round
   std::vector<char> pending_;  // vertices the open round still waits on
   VertexId pending_count_ = 0;
   StepIndex rounds_ = 0;
+  std::vector<VertexId> added_, removed_;  // on_action(vectors) scratch
 };
 
 }  // namespace specstab

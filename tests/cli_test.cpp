@@ -25,6 +25,19 @@ TEST(CliTest, HelpPrintsUsageAndSucceeds) {
   EXPECT_NE(res.output.find("subcommands:"), std::string::npos);
 }
 
+TEST(CliTest, TopologySubcommandsAnswerHelp) {
+  // The family parser must not see `--help` as a graph family.
+  for (const char* cmd :
+       {"run", "witness", "speculate", "elect", "color", "params", "graph"}) {
+    const auto res = run_cli({cmd, "--help"});
+    EXPECT_EQ(res.exit_code, 0) << cmd;
+    EXPECT_NE(res.output.find("usage:"), std::string::npos) << cmd;
+  }
+  const auto after_family = run_cli({"run", "ring", "8", "--help"});
+  EXPECT_EQ(after_family.exit_code, 0);
+  EXPECT_NE(after_family.output.find("usage:"), std::string::npos);
+}
+
 TEST(CliTest, UnknownSubcommandFails) {
   const auto res = run_cli({"frobnicate"});
   EXPECT_EQ(res.exit_code, 1);

@@ -295,9 +295,9 @@ long long run_allocations(const Graph& g, const SsmeProtocol& proto,
   const auto init = random_config(g, proto.clock(), 77);
   RunOptions opt;
   opt.max_steps = max_steps;
+  opt.engine = EngineKind::kIncremental;
   const long long before = g_allocations.load(std::memory_order_relaxed);
-  const auto res =
-      run_execution_incremental(g, proto, *daemon, init, opt, checker);
+  const auto res = run_with_engine(g, proto, *daemon, init, opt, checker);
   const long long after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_GE(res.steps, max_steps);  // SSME never terminates
   return after - before;

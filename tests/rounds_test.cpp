@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -108,6 +111,102 @@ TEST(RoundCounterTest, FullActionCountPathMatchesExplicitVectors) {
       ASSERT_EQ(by_count.round_open(), by_vectors.round_open())
           << "trial " << trial << " step " << step;
       before = after;
+    }
+  }
+}
+
+// Rounds straight from the definition: a round waits on the vertices
+// enabled in its first configuration and closes after the first action
+// by which each of them has been activated or neutralised (found
+// disabled after some action of the round).  Sets, no shortcuts.
+struct DefinitionRounds {
+  std::set<VertexId> waiting;
+  bool open = false;
+  StepIndex rounds = 0;
+
+  void action(const std::vector<VertexId>& before,
+              const std::vector<VertexId>& activated,
+              const std::vector<VertexId>& after) {
+    if (!open) {
+      waiting.insert(before.begin(), before.end());
+      open = true;
+    }
+    for (VertexId v : activated) waiting.erase(v);
+    const std::set<VertexId> enabled_after(after.begin(), after.end());
+    std::erase_if(waiting,
+                  [&](VertexId v) { return enabled_after.count(v) == 0; });
+    if (waiting.empty()) {
+      ++rounds;
+      open = false;
+    }
+  }
+};
+
+TEST(RoundCounterTest, DeltaInputMatchesDefinition) {
+  // The drivers' per-action input — count alone for a full action at a
+  // round boundary, otherwise the action plus the enabled set's delta,
+  // and on_perturbation() when a fault edits the set between actions —
+  // over random sequences with neutralisation, re-enabling inside open
+  // rounds, perturbations, and sizes that are not multiples of 64.
+  std::mt19937_64 rng(29);
+  const auto flip = [&](int percent) {
+    return static_cast<int>(rng() % 100) < percent;
+  };
+  for (const VertexId n : {1, 2, 63, 64, 65, 130, 200}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      RoundCounter rc(n);
+      DefinitionRounds def;
+      const auto random_set = [&](int percent) {
+        std::vector<VertexId> out;
+        for (VertexId v = 0; v < n; ++v) {
+          if (flip(percent)) out.push_back(v);
+        }
+        if (out.empty()) out.push_back(static_cast<VertexId>(rng() % n));
+        return out;
+      };
+      std::vector<VertexId> before = random_set(50);
+      for (int step = 0; step < 80; ++step) {
+        if (flip(5)) {
+          before = random_set(50);  // a fault rewrites the enabled set
+          rc.on_perturbation();
+        }
+        std::vector<VertexId> activated;
+        if (flip(20)) {
+          activated = before;
+        } else {
+          for (VertexId v : before) {
+            if (flip(15)) activated.push_back(v);
+          }
+          if (activated.empty()) {
+            activated.push_back(before[rng() % before.size()]);
+          }
+        }
+        // Every vertex flips with a small probability: enabled ones are
+        // neutralised, disabled ones (re-)enabled.
+        std::vector<VertexId> after;
+        for (VertexId v = 0; v < n; ++v) {
+          const bool was = std::binary_search(before.begin(), before.end(), v);
+          if (was != flip(10)) after.push_back(v);
+        }
+        if (after.empty()) after.push_back(static_cast<VertexId>(rng() % n));
+
+        def.action(before, activated, after);
+        if (rc.counts_full_action(before.size(), activated.size())) {
+          rc.on_full_action();
+        } else {
+          std::vector<VertexId> added, removed;
+          std::set_difference(after.begin(), after.end(), before.begin(),
+                              before.end(), std::back_inserter(added));
+          std::set_difference(before.begin(), before.end(), after.begin(),
+                              after.end(), std::back_inserter(removed));
+          rc.on_action(activated, EnabledDelta{added, removed, after});
+        }
+        ASSERT_EQ(rc.completed_rounds(), def.rounds)
+            << "n " << n << " trial " << trial << " step " << step;
+        ASSERT_EQ(rc.round_open(), def.open)
+            << "n " << n << " trial " << trial << " step " << step;
+        before = after;
+      }
     }
   }
 }

@@ -236,8 +236,16 @@ bool EnabledSet::apply_delta(const std::vector<VertexId>& added,
   // note() path reuses the small-flip/linear-merge machinery — and the
   // commit() asserts — unchanged.
   begin_update();
-  for (const VertexId v : added) note(v, true);
-  for (const VertexId v : removed) note(v, false);
+  for (const VertexId v : added) {
+    const auto i = static_cast<std::size_t>(v);
+    words_[i / 64] |= std::uint64_t{1} << (i % 64);
+    added_.push_back(v);
+  }
+  for (const VertexId v : removed) {
+    const auto i = static_cast<std::size_t>(v);
+    words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    removed_.push_back(v);
+  }
   return commit();
 }
 

@@ -31,8 +31,6 @@
 #ifndef SPECSTAB_SIM_INCREMENTAL_ENGINE_HPP
 #define SPECSTAB_SIM_INCREMENTAL_ENGINE_HPP
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>

@@ -42,7 +42,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>

@@ -30,21 +30,6 @@ void RoundCounter::reset() {
   rounds_ = 0;
 }
 
-void RoundCounter::on_action(const std::vector<VertexId>& enabled_before,
-                             const std::vector<VertexId>& activated,
-                             const std::vector<VertexId>& enabled_after) {
-  if (counts_full_action(enabled_before.size(), activated.size())) {
-    // Synchronous action at a round boundary: activated is a subset of
-    // enabled_before, so equal sizes mean every vertex the round would
-    // wait on is served by this very action — the round opens and
-    // completes immediately, no pending bookkeeping needed.
-    on_full_action();
-    return;
-  }
-  diff_sorted(enabled_before, enabled_after, added_, removed_);
-  on_action(activated, EnabledDelta{added_, removed_, enabled_after});
-}
-
 void RoundCounter::on_action(std::span<const VertexId> activated,
                              const EnabledDelta& delta) {
   if (pending_.empty()) pending_.assign(static_cast<std::size_t>(n_), 0);

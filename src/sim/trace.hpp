@@ -232,7 +232,7 @@ struct EnabledDelta {
 };
 
 /// Writes after \ before into `added` and before \ after into `removed`
-/// (both sorted) in one merge pass over two sorted sets.
+/// (both sorted), merging the two sorted sets.
 void diff_sorted(std::span<const VertexId> before,
                  std::span<const VertexId> after,
                  std::vector<VertexId>& added, std::vector<VertexId>& removed);
@@ -253,16 +253,6 @@ void diff_sorted(std::span<const VertexId> before,
 class RoundCounter {
  public:
   explicit RoundCounter(VertexId n);
-
-  /// Accounts one action from explicit sets.  `enabled_before` is the
-  /// enabled set in the pre-configuration (read only when the action
-  /// opens a round; any superset of the pending vertices otherwise),
-  /// `activated` the daemon's choice, `enabled_after` the enabled set in
-  /// the post-configuration.  All sorted.  Derives the delta in one merge
-  /// pass, O(|enabled_before| + |enabled_after|).
-  void on_action(const std::vector<VertexId>& enabled_before,
-                 const std::vector<VertexId>& activated,
-                 const std::vector<VertexId>& enabled_after);
 
   /// Accounts one action for which counts_full_action() does not hold:
   /// `activated` (sorted) is the daemon's choice and `delta` the enabled
@@ -309,7 +299,6 @@ class RoundCounter {
   std::vector<char> pending_;  // vertices the open round still waits on
   VertexId pending_count_ = 0;
   StepIndex rounds_ = 0;
-  std::vector<VertexId> added_, removed_;  // on_action(vectors) scratch
 };
 
 }  // namespace specstab

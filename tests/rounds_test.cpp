@@ -17,30 +17,50 @@
 namespace specstab {
 namespace {
 
+/// Feeds one action to `rc` the way the run driver does: by count when
+/// counts_full_action() holds, otherwise the action plus the enabled
+/// set's delta, derived here from the explicit sets (`before` is read as
+/// the pre-action set only when the action opens a round; any superset
+/// of the pending vertices serves otherwise).
+void account(RoundCounter& rc, const std::vector<VertexId>& before,
+             const std::vector<VertexId>& activated,
+             const std::vector<VertexId>& after) {
+  if (rc.counts_full_action(before.size(), activated.size())) {
+    rc.on_full_action();
+    return;
+  }
+  std::vector<VertexId> added, removed;
+  std::set_difference(after.begin(), after.end(), before.begin(),
+                      before.end(), std::back_inserter(added));
+  std::set_difference(before.begin(), before.end(), after.begin(),
+                      after.end(), std::back_inserter(removed));
+  rc.on_action(activated, EnabledDelta{added, removed, after});
+}
+
 TEST(RoundCounterTest, SynchronousStepsAreRounds) {
   RoundCounter rc(3);
   // Every action serves the whole enabled set: one round per action.
-  rc.on_action({0, 1, 2}, {0, 1, 2}, {0, 1, 2});
+  account(rc, {0, 1, 2}, {0, 1, 2}, {0, 1, 2});
   EXPECT_EQ(rc.completed_rounds(), 1);
-  rc.on_action({0, 1, 2}, {0, 1, 2}, {});
+  account(rc, {0, 1, 2}, {0, 1, 2}, {});
   EXPECT_EQ(rc.completed_rounds(), 2);
 }
 
 TEST(RoundCounterTest, CentralScheduleNeedsFullSweep) {
   RoundCounter rc(3);
-  rc.on_action({0, 1, 2}, {0}, {0, 1, 2});
+  account(rc, {0, 1, 2}, {0}, {0, 1, 2});
   EXPECT_EQ(rc.completed_rounds(), 0);
-  rc.on_action({0, 1, 2}, {1}, {0, 1, 2});
+  account(rc, {0, 1, 2}, {1}, {0, 1, 2});
   EXPECT_EQ(rc.completed_rounds(), 0);
-  rc.on_action({0, 1, 2}, {2}, {0, 1, 2});
+  account(rc, {0, 1, 2}, {2}, {0, 1, 2});
   EXPECT_EQ(rc.completed_rounds(), 1);  // all three initially-enabled served
 }
 
 TEST(RoundCounterTest, DisablingNeutralisesPending) {
   RoundCounter rc(3);
-  rc.on_action({0, 1, 2}, {0}, {0, 1});  // 2 became disabled: neutralised
+  account(rc, {0, 1, 2}, {0}, {0, 1});  // 2 became disabled: neutralised
   EXPECT_EQ(rc.completed_rounds(), 0);
-  rc.on_action({0, 1}, {1}, {0, 1});     // 0 and 1 served -> round closes
+  account(rc, {0, 1}, {1}, {0, 1});     // 0 and 1 served -> round closes
   EXPECT_EQ(rc.completed_rounds(), 1);
 }
 
@@ -48,26 +68,26 @@ TEST(RoundCounterTest, ReactivationDoesNotRejoinOpenRound) {
   RoundCounter rc(2);
   // Round opens on {0, 1}; vertex 1 disabled then re-enabled: it was
   // neutralised, so only 0 remains pending.
-  rc.on_action({0, 1}, {0}, {0});
+  account(rc, {0, 1}, {0}, {0});
   EXPECT_EQ(rc.completed_rounds(), 1);  // 0 served, 1 neutralised
 }
 
 TEST(RoundCounterTest, ResetClearsState) {
   RoundCounter rc(2);
-  rc.on_action({0, 1}, {0}, {0, 1});
+  account(rc, {0, 1}, {0}, {0, 1});
   rc.reset();
   EXPECT_EQ(rc.completed_rounds(), 0);
-  rc.on_action({0, 1}, {0, 1}, {});
+  account(rc, {0, 1}, {0, 1}, {});
   EXPECT_EQ(rc.completed_rounds(), 1);
 }
 
 TEST(RoundCounterTest, FullActionCountPathMatchesExplicitVectors) {
-  // The engines account a full action at a round boundary by count
-  // alone (counts_full_action + on_full_action) and snapshot the
-  // pre-action set only when a partial action opens a round.  Over
-  // random enabled-set sequences mixing full and partial actions, that
-  // protocol must count exactly the rounds on_action() counts from the
-  // explicit vectors.
+  // A full action at a round boundary is accounted by count alone
+  // (counts_full_action + on_full_action), and while a round is open
+  // the pre-action set handed in may be the snapshot taken when it
+  // opened.  Over random enabled-set sequences mixing full and partial
+  // actions, that must count exactly the rounds the explicit vectors
+  // give.
   constexpr VertexId kN = 40;
   std::mt19937_64 rng(11);
   for (int trial = 0; trial < 50; ++trial) {
@@ -96,7 +116,7 @@ TEST(RoundCounterTest, FullActionCountPathMatchesExplicitVectors) {
       }
       if (after.empty()) after.push_back(static_cast<VertexId>(rng() % kN));
 
-      by_vectors.on_action(before, activated, after);
+      account(by_vectors, before, activated, after);
 
       const bool full = by_count.counts_full_action(before.size(),
                                                     activated.size());
@@ -104,7 +124,7 @@ TEST(RoundCounterTest, FullActionCountPathMatchesExplicitVectors) {
       if (full) {
         by_count.on_full_action();
       } else {
-        by_count.on_action(round_base, activated, after);
+        account(by_count, round_base, activated, after);
       }
       ASSERT_EQ(by_count.completed_rounds(), by_vectors.completed_rounds())
           << "trial " << trial << " step " << step;
@@ -191,16 +211,7 @@ TEST(RoundCounterTest, DeltaInputMatchesDefinition) {
         if (after.empty()) after.push_back(static_cast<VertexId>(rng() % n));
 
         def.action(before, activated, after);
-        if (rc.counts_full_action(before.size(), activated.size())) {
-          rc.on_full_action();
-        } else {
-          std::vector<VertexId> added, removed;
-          std::set_difference(after.begin(), after.end(), before.begin(),
-                              before.end(), std::back_inserter(added));
-          std::set_difference(before.begin(), before.end(), after.begin(),
-                              after.end(), std::back_inserter(removed));
-          rc.on_action(activated, EnabledDelta{added, removed, after});
-        }
+        account(rc, before, activated, after);
         ASSERT_EQ(rc.completed_rounds(), def.rounds)
             << "n " << n << " trial " << trial << " step " << step;
         ASSERT_EQ(rc.round_open(), def.open)

@@ -49,7 +49,8 @@
 namespace specstab {
 
 /// The incremental step policy: O(|B(A, r)|) guard evaluations per
-/// sparse action instead of O(n), an ordered rescan for dense ones.
+/// sparse action instead of O(n), a guard-kernel rescan (the vector
+/// engine's rescan_enabled()) for dense ones.
 template <ProtocolConcept P, class C>
   requires IncrementalLegitimacy<C, typename P::State>
 class IncrementalPolicy {
@@ -64,11 +65,12 @@ class IncrementalPolicy {
         live_(cfg.view()),
         checker_(checker),
         radius_(protocol_locality_radius(proto)),
-        expander_(g.n()) {}
+        expander_(g.n()),
+        kernel_(make_enabled_kernel(g, proto)) {}
 
   bool init() {
     enabled_.reset(g_.n());
-    enabled_.assign(enabled_vertices(g_, proto_, live_));
+    rescan();
     return checker_.init(g_, live_);
   }
   [[nodiscard]] std::size_t enabled_count() const { return enabled_.size(); }
@@ -92,8 +94,8 @@ class IncrementalPolicy {
     install_action(g_, proto_, cfg_, activated, dense, staged_, trace);
     // Only guards inside the radius-r ball around the activated vertices
     // can have flipped.  When the action touches most of the graph
-    // (synchronous and dense distributed daemons), a plain ordered
-    // rescan is cheaper than ball expansion.
+    // (synchronous and dense distributed daemons), a full rescan through
+    // the guard kernel is cheaper than ball expansion.
     if (dense) {
       rescan();
       return {activated.size(), checker_.on_update(g_, live_, activated)};
@@ -111,11 +113,7 @@ class IncrementalPolicy {
   }
 
   void rescan() {
-    enabled_.begin_rebuild();
-    for (VertexId v = 0; v < g_.n(); ++v) {
-      if (proto_.enabled(g_, live_, v)) enabled_.append(v);
-    }
-    enabled_.end_rebuild();
+    rescan_enabled<false>(enabled_, kernel_, g_, proto_, live_);
   }
 
   const Graph& g_;
@@ -127,6 +125,8 @@ class IncrementalPolicy {
   EnabledSet enabled_;
   NeighborhoodExpander expander_;
   std::vector<State> staged_;
+  decltype(make_enabled_kernel(std::declval<const Graph&>(),
+                               std::declval<const P&>())) kernel_;
 };
 
 /// Engine dispatcher: runs the step policy selected by opt.engine under

@@ -37,6 +37,27 @@
 
 namespace specstab {
 
+/// Rebuilds `enabled` from one guard pass over all n vertices: verdict
+/// bytes through the protocol's SimdEval kernel (a scalar sweep
+/// otherwise; `kernel` comes from make_enabled_kernel()), packed into
+/// the set's mask words 64 at a time.  Returns the pass's fused
+/// violation total when `Scored` (see fill_verdicts()), 0 otherwise.
+template <bool Scored, class P, class Kernel>
+std::int64_t rescan_enabled(EnabledSet& enabled, Kernel& kernel,
+                            const Graph& g, const P& proto,
+                            const ConfigView<typename P::State>& live) {
+  const VertexId n = g.n();
+  const std::int64_t total =
+      fill_verdicts<Scored>(kernel, g, proto, live, 0, n);
+  enabled.begin_rebuild();
+  const std::uint8_t* verdicts = kernel.verdicts.data();
+  for (VertexId base = 0; base < n; base += 64) {
+    enabled.append_mask(base, pack_verdict_word(verdicts + base));
+  }
+  enabled.end_rebuild();
+  return total;
+}
+
 /// The vector step policy: a full guard rescan per action as column
 /// scans with word-mask enabled-set rebuilds.
 template <ProtocolConcept P, class C>
@@ -79,20 +100,9 @@ class VectorPolicy {
   EnabledDelta enabled_delta() { return enabled_.delta(); }
 
  private:
-  // Guard verdicts through the protocol's SimdEval kernel (a scalar sweep
-  // otherwise), packed into EnabledSet words 64 at a time.  Returns the
-  // fused violation total (0 and unused unless kFused).
+  // Returns the fused violation total (0 and unused unless kFused).
   std::int64_t rescan() {
-    const VertexId n = g_.n();
-    const std::int64_t total =
-        fill_verdicts<kFused>(kernel_, g_, proto_, live_, 0, n);
-    enabled_.begin_rebuild();
-    const std::uint8_t* verdicts = kernel_.verdicts.data();
-    for (VertexId base = 0; base < n; base += 64) {
-      enabled_.append_mask(base, pack_verdict_word(verdicts + base));
-    }
-    enabled_.end_rebuild();
-    return total;
+    return rescan_enabled<kFused>(enabled_, kernel_, g_, proto_, live_);
   }
 
   bool rescan_verdict() {

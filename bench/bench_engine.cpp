@@ -1,17 +1,14 @@
-// ENGINE — incremental dirty-set engine vs reference full-rescan engine
-// vs vectorized column-scan engine.
+// ENGINE — incremental dirty-set engine vs reference full-rescan engine.
 //
 // The headline number is the wall-clock ratio on the Theorem-3 campaign
 // preset (the hottest path in the repo: every portfolio daemon crossed
 // with random + two-gradient inits over the thm3 topology slate), run on
-// a thread pool with all engines and cross-checked row-for-row.  Micro
+// a thread pool with both engines and cross-checked row-for-row.  Micro
 // rows isolate per-protocol step throughput on larger single instances;
-// every row reports the incremental speedup (the historical "speedup"
-// key the regression gate tracks) plus vector_ms / vector_speedup for
-// the SIMD engine.  The vector engine is expected to win on the dense
-// distributed-daemon rows (unison/torus, leader/random) and to lose
-// honestly on central-daemon rows, where one action dirties O(1)
-// vertices and a full rescan is pure overhead.
+// every row reports the incremental speedup (the "speedup" key the
+// regression gate tracks).  The rows mix central-daemon steps (the
+// incremental engine's ball re-tests) with dense synchronous and
+// Bernoulli steps (its fused guard-kernel rescan).
 //
 // Unlike the google-benchmark experiment benches this tool links only
 // the core library (plain chrono timing), so it builds everywhere and CI
@@ -87,18 +84,9 @@ struct MicroRow {
   std::int64_t steps = 0;
   double reference_ms = 0.0;
   double incremental_ms = 0.0;
-  double vector_ms = 0.0;
-  /// Whether this row timed the vector engine at all.  Rows that never
-  /// ran it (parallel scaling, perturbed recovery) omit the vector keys
-  /// from the JSON instead of writing a 0.00 that looks like a
-  /// measurement — check_bench_regression rejects such zeros.
-  bool vector_measured = false;
 
   [[nodiscard]] double speedup() const {
     return incremental_ms > 0.0 ? reference_ms / incremental_ms : 0.0;
-  }
-  [[nodiscard]] double vector_speedup() const {
-    return vector_ms > 0.0 ? reference_ms / vector_ms : 0.0;
   }
 };
 
@@ -114,12 +102,10 @@ MicroRow micro(const std::string& name, const Graph& g, const P& proto,
                MakeChecker make_checker, StepIndex max_steps, int repeats) {
   MicroRow row;
   row.name = name;
-  row.vector_measured = true;
   RunOptions opt;
   opt.max_steps = max_steps;
-  for (const EngineKind kind : {EngineKind::kReference,
-                                EngineKind::kIncremental,
-                                EngineKind::kVector}) {
+  for (const EngineKind kind :
+       {EngineKind::kReference, EngineKind::kIncremental}) {
     opt.engine = kind;
     std::int64_t steps = 0;
     const double ms = best_of(repeats, [&] {
@@ -137,12 +123,10 @@ MicroRow micro(const std::string& name, const Graph& g, const P& proto,
       row.reference_ms = ms;
       row.steps = steps;
     } else {
-      (kind == EngineKind::kIncremental ? row.incremental_ms
-                                        : row.vector_ms) = ms;
+      row.incremental_ms = ms;
       if (steps != row.steps) {
-        std::cerr << "!! ENGINE MISMATCH in micro '" << name << "' ("
-                  << engine_name(kind) << "): " << row.steps << " vs "
-                  << steps << " steps\n";
+        std::cerr << "!! ENGINE MISMATCH in micro '" << name << "': "
+                  << row.steps << " vs " << steps << " steps\n";
         std::exit(2);
       }
     }
@@ -263,10 +247,8 @@ std::vector<MicroRow> run_micros(bool smoke, int repeats) {
 /// regression-gate meaning — reference_ms is the baseline (incremental)
 /// time, incremental_ms the parallel time at the row's thread count, so
 /// "speedup" is the parallel-over-incremental ratio the ±30% band
-/// tracks.  Each measurement lands in the JSON twice: under the
-/// historical `parallel/...` names (t1/t2/t8, band continuity) and the
-/// `parallel-fused/...` names (t1/t8) that pin the fused SIMD×shard
-/// path specifically.  A strong-scaling report (per-step latency,
+/// tracks; the t1/t2/t8 measurements land in the JSON as
+/// `parallel/...` rows.  A strong-scaling report (per-step latency,
 /// speedup over t1, parallel efficiency speedup/t) goes to stdout —
 /// efficiency is a host property, so it is reported, not gated.  Step
 /// counts are cross-checked between the engines (byte-identical results
@@ -349,9 +331,9 @@ std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
                 << fmt(vs_t1) << "x" << std::setw(14) << fmt(eff) << "\n";
     }
 
-    const auto row_at = [&](const std::string& prefix, unsigned threads) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
       MicroRow row;
-      row.name = prefix + "/unison/" + topo.label + "/sync/t" +
+      row.name = "parallel/unison/" + topo.label + "/sync/t" +
                  std::to_string(threads);
       row.steps = base_steps;
       row.reference_ms = base_ms;
@@ -359,13 +341,7 @@ std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
                                 threads);
       row.incremental_ms = ms_at[static_cast<std::size_t>(
           it - thread_counts.begin())];
-      return row;
-    };
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      rows.push_back(row_at("parallel", threads));
-    }
-    for (const unsigned threads : {1u, 8u}) {
-      rows.push_back(row_at("parallel-fused", threads));
+      rows.push_back(std::move(row));
     }
   }
   return rows;
@@ -438,7 +414,7 @@ MicroRow perturbed_row(const std::string& name, const Graph& g,
                        const Config<typename P::State>& init,
                        MakeChecker make_checker,
                        typename FaultPlan<typename P::State>::ValuePool pool,
-                       StepIndex max_steps, unsigned threads) {
+                       StepIndex max_steps, unsigned threads, int repeats) {
   using State = typename P::State;
   const FaultSpec fault = FaultSpec::parse(fault_text);
   const auto guard = [&proto](const Graph& gg, const ConfigView<State>& cv,
@@ -457,7 +433,7 @@ MicroRow perturbed_row(const std::string& name, const Graph& g,
     PerturbationStats stats;
     auto daemon = make_daemon("synchronous", seed);
     auto checker = make_checker();
-    const double ms = best_of(1, [&] {
+    const double ms = best_of(repeats, [&] {
       daemon->reset();
       FaultPlan<State> plan(fault, seed, 2, pool, guard);
       const auto res = run_with_engine(g, proto, *daemon, init, opt, checker,
@@ -485,8 +461,11 @@ MicroRow perturbed_row(const std::string& name, const Graph& g,
 /// under periodic corruption — the fault hook, guard re-tests in the
 /// perturbed balls, and checker refreshes are all inside the timed
 /// region.  Step counts stay above the regression gate's 500-step noise
-/// floor in full mode (the last epoch fires at step 512).
-std::vector<MicroRow> perturbed_recovery_rows(bool smoke) {
+/// floor in full mode (the last epoch fires at step 512).  Both sides
+/// take the best of `repeats` runs, like the micro rows: with one run
+/// per side, two runs of the same code read the torus t1 ratio as 0.65x
+/// and 0.95x.
+std::vector<MicroRow> perturbed_recovery_rows(bool smoke, int repeats) {
   std::vector<MicroRow> rows;
   {
     const Graph g = smoke ? make_torus(8, 8) : make_torus(200, 200);
@@ -507,7 +486,7 @@ std::vector<MicroRow> perturbed_recovery_rows(bool smoke) {
           "perturb/unison/" + label + "/periodic/t" + std::to_string(threads),
           g, proto, fault, 5, arbitrary(99),
           [&] { return make_unbounded_unison_checker(proto); }, arbitrary,
-          smoke ? 120 : 1600, threads));
+          smoke ? 120 : 1600, threads, repeats));
     }
   }
   {
@@ -524,7 +503,7 @@ std::vector<MicroRow> perturbed_recovery_rows(bool smoke) {
           "perturb/ssme/" + label + "/periodic/t" + std::to_string(threads),
           g, proto, fault, 9, random_config(g, proto.clock(), 9),
           [&] { return make_gamma1_checker(proto); }, pool,
-          smoke ? 160 : 6000, threads));
+          smoke ? 160 : 6000, threads, repeats));
     }
   }
   return rows;
@@ -540,11 +519,9 @@ MicroRow sweep_cross_protocol_row(bool smoke, unsigned threads,
   const auto items = campaign::expand_grid(campaign::sweep_grid(smoke));
   MicroRow row;
   row.name = "campaign/sweep-cross-protocol";
-  row.vector_measured = true;
   campaign::CampaignResult reference_rows;
-  for (const EngineKind kind : {EngineKind::kReference,
-                                EngineKind::kIncremental,
-                                EngineKind::kVector}) {
+  for (const EngineKind kind :
+       {EngineKind::kReference, EngineKind::kIncremental}) {
     campaign::RunnerOptions opt;
     opt.threads = threads;
     opt.engine = kind;
@@ -558,12 +535,10 @@ MicroRow sweep_cross_protocol_row(bool smoke, unsigned threads,
       row.steps = steps;
       reference_rows = std::move(last);
     } else {
-      (kind == EngineKind::kIncremental ? row.incremental_ms
-                                        : row.vector_ms) = ms;
+      row.incremental_ms = ms;
       for (std::size_t i = 0; i < reference_rows.rows.size(); ++i) {
         if (!(reference_rows.rows[i] == last.rows[i])) {
-          std::cerr << "!! ENGINE MISMATCH (" << engine_name(kind)
-                    << ") at sweep row " << i << "\n";
+          std::cerr << "!! ENGINE MISMATCH at sweep row " << i << "\n";
           std::exit(2);
         }
       }
@@ -576,13 +551,9 @@ struct CampaignTiming {
   std::size_t scenarios = 0;
   double reference_ms = 0.0;
   double incremental_ms = 0.0;
-  double vector_ms = 0.0;
 
   [[nodiscard]] double speedup() const {
     return incremental_ms > 0.0 ? reference_ms / incremental_ms : 0.0;
-  }
-  [[nodiscard]] double vector_speedup() const {
-    return vector_ms > 0.0 ? reference_ms / vector_ms : 0.0;
   }
 };
 
@@ -595,9 +566,8 @@ CampaignTiming run_campaign_comparison(bool smoke, unsigned threads,
   timing.scenarios = items.size();
 
   campaign::CampaignResult reference_rows;
-  for (const EngineKind kind : {EngineKind::kReference,
-                                EngineKind::kIncremental,
-                                EngineKind::kVector}) {
+  for (const EngineKind kind :
+       {EngineKind::kReference, EngineKind::kIncremental}) {
     campaign::RunnerOptions opt;
     opt.threads = threads;
     opt.engine = kind;
@@ -609,8 +579,7 @@ CampaignTiming run_campaign_comparison(bool smoke, unsigned threads,
       reference_rows = std::move(last);
       continue;
     }
-    (kind == EngineKind::kIncremental ? timing.incremental_ms
-                                      : timing.vector_ms) = ms;
+    timing.incremental_ms = ms;
     // The speedup only counts if the engines agree — assert it here too,
     // on the full preset the differential tests only smoke.
     if (reference_rows.rows.size() != last.rows.size()) {
@@ -619,8 +588,7 @@ CampaignTiming run_campaign_comparison(bool smoke, unsigned threads,
     }
     for (std::size_t i = 0; i < reference_rows.rows.size(); ++i) {
       if (!(reference_rows.rows[i] == last.rows[i])) {
-        std::cerr << "!! ENGINE MISMATCH (" << engine_name(kind)
-                  << ") at campaign row " << i << "\n";
+        std::cerr << "!! ENGINE MISMATCH at campaign row " << i << "\n";
         std::exit(2);
       }
     }
@@ -642,8 +610,6 @@ std::string to_json(bool smoke, unsigned threads, int repeats,
      << ", \"reference_ms\": " << fmt(campaign_timing.reference_ms)
      << ", \"incremental_ms\": " << fmt(campaign_timing.incremental_ms)
      << ", \"speedup\": " << fmt(campaign_timing.speedup())
-     << ", \"vector_ms\": " << fmt(campaign_timing.vector_ms)
-     << ", \"vector_speedup\": " << fmt(campaign_timing.vector_speedup())
      << "},\n"
      << "  \"micro\": [\n";
   for (std::size_t i = 0; i < micros.size(); ++i) {
@@ -651,15 +617,8 @@ std::string to_json(bool smoke, unsigned threads, int repeats,
     os << "    {\"name\": \"" << m.name << "\", \"steps\": " << m.steps
        << ", \"reference_ms\": " << fmt(m.reference_ms)
        << ", \"incremental_ms\": " << fmt(m.incremental_ms)
-       << ", \"speedup\": " << fmt(m.speedup());
-    // Vector keys appear only on rows that timed the vector engine: an
-    // unmeasured metric is omitted, never written as a 0.00 pretending
-    // to be data (check_bench_regression rejects such zeros).
-    if (m.vector_measured) {
-      os << ", \"vector_ms\": " << fmt(m.vector_ms)
-         << ", \"vector_speedup\": " << fmt(m.vector_speedup());
-    }
-    os << "}" << (i + 1 < micros.size() ? "," : "") << "\n";
+       << ", \"speedup\": " << fmt(m.speedup()) << "}"
+       << (i + 1 < micros.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
   return os.str();
@@ -698,41 +657,34 @@ int main(int argc, char** argv) {
   // bench-regression gate measures in full mode (default best-of-3).
   if (smoke && !repeats_set) repeats = 1;
 
-  std::cout << "\n== ENGINE: incremental dirty-set vs reference full-rescan "
-               "vs vector [" << (smoke ? "smoke" : "full") << ", " << threads
+  std::cout << "\n== ENGINE: incremental dirty-set vs reference full-rescan ["
+            << (smoke ? "smoke" : "full") << ", " << threads
             << " threads, best of " << repeats << "] ==\n\n";
 
   const CampaignTiming campaign_timing =
       run_campaign_comparison(smoke, threads, repeats);
   std::cout << std::left << std::setw(42) << "workload" << std::right
             << std::setw(12) << "ref-ms" << std::setw(12) << "inc-ms"
-            << std::setw(12) << "vec-ms" << std::setw(10) << "speedup"
-            << std::setw(10) << "vec-spd" << "\n"
-            << std::string(96, '-') << "\n"
+            << std::setw(10) << "speedup" << "\n"
+            << std::string(76, '-') << "\n"
             << std::left << std::setw(42) << "campaign/thm3-preset"
             << std::right << std::setw(12) << fmt(campaign_timing.reference_ms)
             << std::setw(12) << fmt(campaign_timing.incremental_ms)
-            << std::setw(12) << fmt(campaign_timing.vector_ms)
-            << std::setw(9) << fmt(campaign_timing.speedup()) << "x"
-            << std::setw(9) << fmt(campaign_timing.vector_speedup()) << "x\n";
+            << std::setw(9) << fmt(campaign_timing.speedup()) << "x\n";
 
   auto micros = run_micros(smoke, repeats);
   micros.push_back(sweep_cross_protocol_row(smoke, threads, repeats));
   for (auto& row : parallel_scaling_rows(smoke)) {
     micros.push_back(std::move(row));
   }
-  for (auto& row : perturbed_recovery_rows(smoke)) {
+  for (auto& row : perturbed_recovery_rows(smoke, repeats)) {
     micros.push_back(std::move(row));
   }
   for (const auto& m : micros) {
     std::cout << std::left << std::setw(42) << m.name << std::right
               << std::setw(12) << fmt(m.reference_ms) << std::setw(12)
-              << fmt(m.incremental_ms) << std::setw(12)
-              << (m.vector_measured ? fmt(m.vector_ms) : std::string("-"))
-              << std::setw(9) << fmt(m.speedup()) << "x" << std::setw(10)
-              << (m.vector_measured ? fmt(m.vector_speedup()) + "x"
-                                    : std::string("-"))
-              << "\n";
+              << fmt(m.incremental_ms) << std::setw(9) << fmt(m.speedup())
+              << "x\n";
   }
 
   const std::string json =

@@ -187,11 +187,11 @@ std::string usage() {
      << "                                     service with result caching;\n"
      << "                                     see `specstab serve --help`\n\n"
      << "run/witness/speculate/elect/color/campaign accept\n"
-     << "  --engine incremental|reference|vector|parallel\n"
+     << "  --engine incremental|reference|parallel\n"
      << "                                     dirty-set engine (default),\n"
-     << "                                     the full-rescan oracle, the\n"
-     << "                                     vectorized column-scan engine,\n"
-     << "                                     or the sharded parallel engine\n"
+     << "                                     the full-rescan oracle, or the\n"
+     << "                                     sharded parallel engine;\n"
+     << "                                     vector = incremental (alias)\n"
      << "  --layout auto|soa|aos              configuration storage layout\n"
      << "                                     (auto: SoA where declared)\n"
      << "  --threads T                        parallel-engine worker threads\n"
@@ -305,9 +305,10 @@ std::string campaign_usage() {
      << "run options:\n"
      << "  --threads T                    worker threads (0 = hardware)\n"
      << "  --steps N                      max-steps override for every run\n"
-     << "  --engine incremental|reference|vector|parallel\n"
+     << "  --engine incremental|reference|parallel\n"
      << "                                 execution engine (default:\n"
-     << "                                 incremental)\n"
+     << "                                 incremental; vector is an\n"
+     << "                                 alias of incremental)\n"
      << "  --engine-threads T             shards per parallel-engine run\n"
      << "                                 (default 1: the campaign pool\n"
      << "                                 already parallelizes scenarios;\n"

@@ -64,15 +64,15 @@ struct NoBulkTotal {};
 /// std::int64_t computing the SAME total as summing `Score` over all
 /// vertices, but as one pass over the configuration — typically a
 /// contiguous column scan the compiler can vectorize.  full() (the
-/// rescanning engines' per-step path) uses it; the incremental path never
+/// reference engine's per-step oracle) uses it; the incremental path never
 /// does, so the cached per-vertex scores stay the source of truth for
 /// on_update().  tests/legitimacy_closure_test.cpp asserts bulk and
 /// per-vertex totals agree move-by-move.
 ///
 /// `Kind`, when not void, is a score-kind tag (sim/simd_eval.hpp) naming
-/// the score definition; a vector-engine kernel advertising the same tag
-/// may hand a precomputed total to accept_total() instead of having
-/// full() rescan.
+/// the score definition; a guard kernel advertising the same tag hands
+/// the total of each dense rescan to accept_total() instead of having
+/// the checker rescore every vertex.
 template <class State, class Score, class Verdict, class Bulk = NoBulkTotal,
           class Kind = void>
 class LocalScoreChecker {
@@ -132,11 +132,11 @@ class LocalScoreChecker {
     return verdict_(total_);
   }
 
-  /// Verdict from a total computed elsewhere (a fused vector-engine
-  /// kernel with the matching ScoreKind).  The per-vertex caches go
-  /// stale; the next incremental update rebuilds them, so accept_total()
-  /// and on_update() may interleave freely (the vector engine never
-  /// mixes them within a run).
+  /// Verdict from a total computed elsewhere (a fused guard kernel with
+  /// the matching ScoreKind).  The per-vertex caches go stale; the next
+  /// incremental update rebuilds them, so accept_total() and on_update()
+  /// interleave freely — the incremental and parallel policies take
+  /// totals on dense steps and call on_update() on sparse ones.
   bool accept_total(std::int64_t total) {
     total_ = total;
     cached_stale_ = true;

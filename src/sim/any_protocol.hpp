@@ -21,8 +21,8 @@
 // drift apart.
 //
 // Registration is engine-complete: the compiled session runs under the
-// incremental, reference and vector engines alike.  The vector engine
-// falls back to a scalar rescan unless the protocol specializes
+// incremental, reference and parallel engines alike.  Their dense rescan
+// falls back to a scalar sweep unless the protocol specializes
 // SimdEval<P> (sim/simd_eval.hpp) — see docs/adding-a-protocol.md for
 // the opt-in steps.
 #ifndef SPECSTAB_SIM_ANY_PROTOCOL_HPP

@@ -3,9 +3,9 @@
 //
 // The non-reference engines maintain the enabled set behind EnabledSet
 // (64-bit membership mask words plus a sorted vector).  The incremental
-// engine edits it by staged per-vertex flips (note()/commit()) or a
-// scalar rebuild (append()); the vector engine rebuilds it from packed
-// guard-verdict words (append_mask(), 64 verdicts per word); the
+// engine edits it by staged per-vertex flips (note()/commit()) after a
+// sparse action and rebuilds it from packed guard-verdict words
+// (append_mask(), 64 verdicts per word) after a dense one; the
 // parallel engine fills the words shard by shard and decodes the sorted
 // vector, also shard by shard, only when it needs it (fill_words(),
 // end_fill(), scatter_words()).  The
@@ -36,7 +36,7 @@ namespace specstab {
 /// subsequent configuration with the sorted list of vertices whose state
 /// changed and must return the same verdict a from-scratch evaluation
 /// would; full() is the stateless from-scratch oracle used by the
-/// reference and vector engines.  All three return the predicate's
+/// reference engine.  All three return the predicate's
 /// verdict so a wrapper (e.g. ClosureCounting) can observe the legitimacy
 /// sequence in configuration order regardless of the engine.
 template <class C, class State>
@@ -194,12 +194,12 @@ class EnabledSet {
     words_[i / 64] |= std::uint64_t{1} << (i % 64);
     scratch_.push_back(v);
   }
-  /// Word-level bulk append for the vector engine's bitmask path: 64
-  /// guard verdicts at once, bit b of `mask` standing for vertex
-  /// base + b.  `base` must be a multiple of 64, calls must proceed in
-  /// ascending base order between begin_rebuild() and end_rebuild(), and
-  /// bits past the last vertex must be zero in the trailing (partial)
-  /// word.  The word is stored as is; each set bit costs one
+  /// Word-level bulk append for the guard-kernel rescan (rescan_enabled()
+  /// in simd_eval.hpp): 64 guard verdicts at once, bit b of `mask`
+  /// standing for vertex base + b.  `base` must be a multiple of 64,
+  /// calls must proceed in ascending base order between begin_rebuild()
+  /// and end_rebuild(), and bits past the last vertex must be zero in the
+  /// trailing (partial) word.  The word is stored as is; each set bit costs one
   /// count-trailing-zeros for the sorted vector, so sparse words are
   /// near-free.
   void append_mask(VertexId base, std::uint64_t mask) {

@@ -12,7 +12,7 @@
 // values, adversarial candidates) is drawn from a splitmix64 stream
 // seeded by mix(plan_seed, epoch_index) — never from engine-side state —
 // so the same spec + seed produces byte-identical perturbations in all
-// four engines, both layouts, and any thread count.  Scheduling is by
+// three engines, both layouts, and any thread count.  Scheduling is by
 // step index with one exception: a plan also fires when the run stalls
 // (enabled set empty) before the next fire point, so silent protocols
 // cannot terminate with epochs still pending.  Stall steps are identical

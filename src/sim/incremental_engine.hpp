@@ -7,7 +7,8 @@
 // guard of v reads only states within protocol_locality_radius() hops of
 // v, so an action activating the set A can only change the enabled
 // status of vertices in the radius-r ball around A.  This engine exploits
-// that invariant:
+// that invariant on sparse actions (central and sparse distributed
+// daemons):
 //
 //   - the enabled set is 64-bit membership mask words plus a sorted vector
 //     (EnabledSet), updated after each action by re-testing guards only
@@ -19,12 +20,22 @@
 //     count instead of rescanning — see core/incremental_legitimacy.hpp
 //     for the concrete checkers (Gamma_1, spec_ME, single-token, ...).
 //
-// The dirty-set invariant both sides maintain: between actions, the
-// EnabledSet membership equals { v : proto.enabled(g, cfg, v) } and the
-// checker's cached verdict equals the from-scratch predicate.  The
-// differential harness (tests/engine_differential_test.cpp) asserts the
-// incremental and reference engines produce bit-identical RunResults
-// over randomized protocol x topology x daemon x seed grids.
+// Dense actions (synchronous and dense Bernoulli daemons, where the ball
+// covers most of the graph) take one guard-kernel pass over all n
+// vertices instead (rescan_enabled(), simd_eval.hpp), packed straight
+// into the mask words.  When the protocol's kernel and the run's checker
+// share a ScoreKind, that same pass yields the violation total and the
+// checker takes it through accept_total() — the paper's probable
+// (synchronous) executions cost one column scan per step.  accept_total()
+// leaves the checker's per-vertex caches stale; the next sparse update
+// rebuilds them, so dense and sparse actions interleave freely.
+//
+// The invariant both sides maintain: between actions, the EnabledSet
+// membership equals { v : proto.enabled(g, cfg, v) } and the checker's
+// verdict equals the from-scratch predicate.  The differential harness
+// (tests/engine_differential_test.cpp) asserts the incremental and
+// reference engines produce bit-identical RunResults over randomized
+// protocol x topology x daemon x seed grids.
 //
 // This header also holds run_with_engine(), which runs any engine's step
 // policy under the shared driver (run_driver.hpp).
@@ -42,19 +53,22 @@
 #include "sim/parallel_engine.hpp"
 #include "sim/protocol.hpp"
 #include "sim/run_driver.hpp"
+#include "sim/simd_eval.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
-#include "sim/vector_engine.hpp"
 
 namespace specstab {
 
 /// The incremental step policy: O(|B(A, r)|) guard evaluations per
-/// sparse action instead of O(n), a guard-kernel rescan (the vector
-/// engine's rescan_enabled()) for dense ones.
+/// sparse action instead of O(n), one guard-kernel rescan
+/// (rescan_enabled()) for dense ones.
 template <ProtocolConcept P, class C>
   requires IncrementalLegitimacy<C, typename P::State>
 class IncrementalPolicy {
   using State = typename P::State;
+  // Whether the guard kernel hands its fused violation totals straight
+  // to this run's checker (see kFusedScore in simd_eval.hpp).
+  static constexpr bool kFused = kFusedScore<P, C>;
 
  public:
   IncrementalPolicy(const Graph& g, const P& proto, ConfigStore<State>& cfg,
@@ -70,8 +84,7 @@ class IncrementalPolicy {
 
   bool init() {
     enabled_.reset(g_.n());
-    rescan();
-    return checker_.init(g_, live_);
+    return fused_init_verdict<kFused>(checker_, g_, live_, rescan());
   }
   [[nodiscard]] std::size_t enabled_count() const { return enabled_.size(); }
 
@@ -80,8 +93,9 @@ class IncrementalPolicy {
   // checker so its cached counters never go stale.
   bool repair(const std::vector<VertexId>& victims) {
     if (is_dense(victims.size())) {
-      rescan();
-      return fault_refresh_checker(checker_, g_, live_, victims);
+      return fused_verdict<kFused>(checker_, rescan(), [&] {
+        return fault_refresh_checker(checker_, g_, live_, victims);
+      });
     }
     return retest_ball(enabled_, expander_, g_, proto_, live_, radius_,
                        checker_, victims);
@@ -97,8 +111,10 @@ class IncrementalPolicy {
     // (synchronous and dense distributed daemons), a full rescan through
     // the guard kernel is cheaper than ball expansion.
     if (dense) {
-      rescan();
-      return {activated.size(), checker_.on_update(g_, live_, activated)};
+      const std::int64_t total = rescan();
+      return {activated.size(), fused_verdict<kFused>(checker_, total, [&] {
+                return checker_.on_update(g_, live_, activated);
+              })};
     }
     return {activated.size(),
             retest_ball(enabled_, expander_, g_, proto_, live_, radius_,
@@ -112,8 +128,9 @@ class IncrementalPolicy {
     return is_dense_update(static_cast<std::int64_t>(touched), radius_, g_);
   }
 
-  void rescan() {
-    rescan_enabled<false>(enabled_, kernel_, g_, proto_, live_);
+  // Returns the fused violation total (0 and unused unless kFused).
+  std::int64_t rescan() {
+    return rescan_enabled<kFused>(enabled_, kernel_, g_, proto_, live_);
   }
 
   const Graph& g_;
@@ -130,10 +147,10 @@ class IncrementalPolicy {
 };
 
 /// Engine dispatcher: runs the step policy selected by opt.engine under
-/// the shared driver.  The reference and vector paths evaluate the
-/// checker's from-scratch oracle once per configuration, in execution
-/// order, so stateful wrappers (closure counters) observe the same
-/// legitimacy sequence on every path.
+/// the shared driver (EngineKind::kVector is an alias of the incremental
+/// policy).  Every policy asks the checker for exactly one verdict per
+/// configuration, in execution order, so stateful wrappers (closure
+/// counters) observe the same legitimacy sequence on every path.
 template <ProtocolConcept P, class C>
   requires IncrementalLegitimacy<C, typename P::State>
 RunResult<typename P::State> run_with_engine(
@@ -155,10 +172,6 @@ RunResult<typename P::State> run_with_engine(
       ReferencePolicy<P> policy(g, proto, cfg, legitimate);
       return drive(policy);
     }
-    case EngineKind::kVector: {
-      VectorPolicy<P, C> policy(g, proto, cfg, checker);
-      return drive(policy);
-    }
     case EngineKind::kParallel: {
       // Full-set steps need the action to be the whole enabled set by
       // definition, and nothing that reads it as a vertex list.
@@ -168,6 +181,7 @@ RunResult<typename P::State> run_with_engine(
       return drive(policy);
     }
     case EngineKind::kIncremental:
+    case EngineKind::kVector:
       break;
   }
   IncrementalPolicy<P, C> policy(g, proto, cfg, checker);

@@ -67,18 +67,18 @@ class ShardPool;  // parallel_engine.hpp
 
 /// Which execution engine drives a run.  The *incremental* engine
 /// (incremental_engine.hpp) maintains the enabled set by dirty-set
-/// propagation and supports incremental legitimacy checkers; the
-/// *vector* engine (vector_engine.hpp) rescans all n guards per action
-/// as contiguous column scans (SimdEval kernels where a protocol opts
-/// in, scalar rescan otherwise) and rebuilds the enabled set through
-/// 64-verdict word masks; the *parallel* engine (parallel_engine.hpp)
-/// shards the vertex range over worker threads — activations whose
-/// locality balls stay inside one shard are processed concurrently,
-/// boundary-crossers in a sequential fix-up pass, deltas merged in
-/// shard order; the *reference* engine (engine.hpp) rescans all n
-/// vertices after every action with deliberately naive code and serves
-/// as the differential-testing oracle.  All four are step policies of
-/// drive_run() and produce bit-identical RunResults for the same inputs.
+/// propagation on sparse actions and by one guard-kernel rescan (SimdEval
+/// kernels where a protocol opts in, scalar rescan otherwise) on dense
+/// ones, and supports incremental legitimacy checkers; the *parallel*
+/// engine (parallel_engine.hpp) shards the vertex range over worker
+/// threads — activations whose locality balls stay inside one shard are
+/// processed concurrently, boundary-crossers in a sequential fix-up pass,
+/// deltas merged in shard order; the *reference* engine (engine.hpp)
+/// rescans all n vertices after every action with deliberately naive
+/// code and serves as the differential-testing oracle.  All three are
+/// step policies of drive_run() and produce bit-identical RunResults for
+/// the same inputs.  *vector* names the incremental engine: a kept alias,
+/// so session strings, cache keys and `--engine vector` stay valid.
 enum class EngineKind {
   kIncremental,
   kReference,

@@ -1,8 +1,8 @@
 // SimdEval — the per-protocol guard-kernel trait shared by the rescan
-// engines.
+// paths.
 //
-// The vector engine (vector_engine.hpp) is a full-rescan engine: after
-// every action it re-evaluates all n guards.  The parallel engine
+// The incremental policy (incremental_engine.hpp) rescans all n guards
+// after every dense action (rescan_enabled() below); the parallel policy
 // (parallel_engine.hpp) runs the same rescan on dense steps, but sharded:
 // each worker evaluates one contiguous vertex range.  A protocol opts
 // into the vectorized rescan by specializing SimdEval<P> — the guard
@@ -24,10 +24,10 @@
 // (Graph::csr(), two pointers; nothing is copied).  enabled_bytes() must
 // write out[v] != 0 iff proto.enabled(g, cfg, v) for every vertex in
 // [begin, end), bit-exactly — the differential harness holds the rescan
-// engines to byte-identical RunResults against the other engines.  The
+// paths to byte-identical RunResults against the reference engine.  The
 // range parameters exist for the parallel engine's shard fan-out
 // (disjoint ranges touch disjoint out bytes, so shards write
-// concurrently without synchronization); the vector engine always
+// concurrently without synchronization); rescan_enabled() always
 // passes [0, n).  Kernels are written as branch-light per-column loops
 // over the ConfigStore columns (the AoS vector *is* the column for
 // arithmetic states); the engines pack the verdict bytes into 64-bit
@@ -58,18 +58,17 @@
 // (exactly the checker's bulk/score sum — same int64, no early exit;
 // per-shard partial totals summed in shard order reproduce the full-scan
 // total bit-exactly because the accumulation is int64 addition).  When
-// the run's checker advertises the matching ScoreKind, the rescan
-// engines call the scored kernel once per action and hand the total
+// the run's checker advertises the matching ScoreKind, the dense paths
+// call the scored kernel once per dense action and hand the total
 // straight to the checker (LocalScoreChecker::accept_total), skipping
-// the separate full() column scan — one pass over the columns instead
-// of two.  The initial scan feeds gamma_0's total to
+// the checker's own O(n) rescore — one pass over the columns instead of
+// two.  The initial scan feeds gamma_0's total to
 // LocalScoreChecker::init_from_total the same way.  With any other
-// checker the engines use enabled_bytes() plus the checker's own scan,
+// checker the engines use enabled_bytes() plus the checker's own update,
 // so the fusion is pay-as-you-match.
 //
-// Protocols without a specialization run on the engines' scalar rescan
-// fallback (fill_verdicts() below), so the rescan engines stay
-// registry-complete.
+// Protocols without a specialization run on the scalar rescan fallback
+// (fill_verdicts() below), so the rescan paths stay registry-complete.
 #ifndef SPECSTAB_SIM_SIMD_EVAL_HPP
 #define SPECSTAB_SIM_SIMD_EVAL_HPP
 
@@ -85,6 +84,7 @@
 
 #include "graph/graph.hpp"
 #include "sim/config_store.hpp"
+#include "sim/enabled_set.hpp"
 #include "sim/types.hpp"
 
 namespace specstab {
@@ -116,7 +116,7 @@ namespace specstab {
 #endif
 }
 
-/// Primary template: no vectorized kernels declared; the rescan engines
+/// Primary template: no vectorized kernels declared; the rescan paths
 /// fall back to the scalar per-vertex sweep for such protocols.
 template <class P>
 struct SimdEval {};
@@ -150,7 +150,7 @@ concept HasRuleCodeSimdEval =
 //
 // Score kinds name a violation-score definition shared between a
 // protocol's fused kernel and the LocalScoreChecker factory that counts
-// the same scores (core/incremental_legitimacy.hpp).  The rescan engines
+// the same scores (core/incremental_legitimacy.hpp).  The rescan paths
 // fuse the two scans only when the tags are identical types, so e.g. an
 // SSME run under the mutex-safety checker never consumes a Gamma_1 total.
 
@@ -159,7 +159,7 @@ concept HasRuleCodeSimdEval =
 struct Gamma1ScoreKind {};
 
 /// The score kind a checker advertises, or void when it has none.  Lets
-/// generic code (the rescan engines, checker wrappers) read C::ScoreKind
+/// generic code (the rescan paths, checker wrappers) read C::ScoreKind
 /// without requiring it.
 template <class C>
 struct ScoreKindOf {
@@ -185,7 +185,7 @@ concept HasScoredSimdEval =
           -> std::same_as<std::int64_t>;
     };
 
-/// Whether a rescan engine running protocol P under checker C hands the
+/// Whether a rescan path running protocol P under checker C hands the
 /// guard kernel's fused violation total straight to the checker: kernel
 /// and checker must name the same (non-void) score definition, and the
 /// checker must take totals both for gamma_0 (init_from_total) and for
@@ -249,11 +249,11 @@ struct ScalarKernelState {
 
 }  // namespace simd_detail
 
-/// Once-per-run kernel state shared by the vector and parallel engines:
-/// the protocol's kernel Context (when SimdEval<P> is specialized) plus
-/// the verdict-byte buffer, padded to a full 64-byte word and zeroed so
-/// bits past the last vertex pack to zero.  The rescan loops run
-/// allocation-free against this.
+/// Once-per-run kernel state shared by the incremental and parallel
+/// policies: the protocol's kernel Context (when SimdEval<P> is
+/// specialized) plus the verdict-byte buffer, padded to a full 64-byte
+/// word and zeroed so bits past the last vertex pack to zero.  The
+/// rescan loops run allocation-free against this.
 template <class P>
 [[nodiscard]] auto make_enabled_kernel(const Graph& g, const P& proto) {
   const auto padded = (static_cast<std::size_t>(g.n()) + 63) / 64 * 64;
@@ -296,6 +296,27 @@ std::int64_t fill_verdicts(Kernel& kernel, const Graph& g, const P& proto,
     }
     return 0;
   }
+}
+
+/// Rebuilds `enabled` from one guard pass over all n vertices: verdict
+/// bytes through the protocol's SimdEval kernel (a scalar sweep
+/// otherwise; `kernel` comes from make_enabled_kernel()), packed into
+/// the set's mask words 64 at a time.  Returns the pass's fused
+/// violation total when `Scored` (see fill_verdicts()), 0 otherwise.
+template <bool Scored, class P, class Kernel>
+std::int64_t rescan_enabled(EnabledSet& enabled, Kernel& kernel,
+                            const Graph& g, const P& proto,
+                            const ConfigView<typename P::State>& live) {
+  const VertexId n = g.n();
+  const std::int64_t total =
+      fill_verdicts<Scored>(kernel, g, proto, live, 0, n);
+  enabled.begin_rebuild();
+  const std::uint8_t* verdicts = kernel.verdicts.data();
+  for (VertexId base = 0; base < n; base += 64) {
+    enabled.append_mask(base, pack_verdict_word(verdicts + base));
+  }
+  enabled.end_rebuild();
+  return total;
 }
 
 }  // namespace specstab

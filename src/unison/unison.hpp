@@ -87,7 +87,7 @@ class UnisonProtocol {
   CherryClock clock_;
 };
 
-/// Vectorized guard kernel (vector engine opt-in, the guard analogue of
+/// Vectorized guard kernel (dense-rescan opt-in, the guard analogue of
 /// a SoaFields split): NA / CA / RA evaluated in one branch-light int32
 /// pass over the clock column and the graph's CSR arrays, writing the
 /// rule code that fires (1 = NA or CA, 2 = RA), so the dense path

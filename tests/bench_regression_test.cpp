@@ -28,16 +28,6 @@ std::string micro_row(const std::string& name, long long steps,
          ",\"speedup\":" + std::to_string(speedup) + "}";
 }
 
-std::string micro_row_vec(const std::string& name, long long steps,
-                          double reference_ms, double speedup,
-                          double vector_speedup) {
-  return "{\"name\":\"" + name + "\",\"steps\":" + std::to_string(steps) +
-         ",\"reference_ms\":" + std::to_string(reference_ms) +
-         ",\"speedup\":" + std::to_string(speedup) +
-         ",\"vector_ms\":1.0,\"vector_speedup\":" +
-         std::to_string(vector_speedup) + "}";
-}
-
 bool has_line_with(const GateOutcome& outcome, const std::string& needle) {
   return std::any_of(outcome.lines.begin(), outcome.lines.end(),
                      [&needle](const std::string& line) {
@@ -152,72 +142,33 @@ TEST(BenchGateCompareTest, ModeMismatchThrows) {
   EXPECT_THROW((void)compare(base, cur, {}), std::invalid_argument);
 }
 
-TEST(BenchGateParseTest, VectorSpeedupIsOptionalPerRow) {
-  const auto file = parse_bench_json(
-      bench_json(10, 4.0,
-                 micro_row_vec("with-vec", 5000, 10.0, 8.0, 6.0) + ",\n" +
-                     micro_row("no-vec", 5000, 10.0, 8.0)),
-      "test");
-  ASSERT_EQ(file.micro.size(), 2u);
-  ASSERT_TRUE(file.micro[0].vector_speedup.has_value());
-  EXPECT_DOUBLE_EQ(*file.micro[0].vector_speedup, 6.0);
-  EXPECT_FALSE(file.micro[1].vector_speedup.has_value());
-}
-
 TEST(BenchGateParseTest, ZeroClaimingToBeAMeasurementThrows) {
-  // A vector_speedup of exactly 0.00 is the old "no data" spelling; it
-  // must be rejected, not compared against real ratios.
-  EXPECT_THROW(
-      (void)parse_bench_json(
-          bench_json(10, 4.0, micro_row_vec("a", 5000, 10.0, 8.0, 0.0)), "t"),
-      std::invalid_argument);
-  // Same for the primary speedup: a ratio of two timings is never 0.
+  // A speedup of exactly 0.00 is the old "no data" spelling: a ratio of
+  // two timings is never 0, so it must be rejected, not compared against
+  // real ratios.
   EXPECT_THROW(
       (void)parse_bench_json(
           bench_json(10, 4.0, micro_row("a", 5000, 10.0, 0.0)), "t"),
       std::invalid_argument);
 }
 
-TEST(BenchGateCompareTest, VectorSpeedupIsGatedWherePresent) {
-  const auto base = parse_bench_json(
-      bench_json(10, 4.0, micro_row_vec("a", 5000, 10.0, 8.0, 6.0)), "base");
-  const auto ok = parse_bench_json(
-      bench_json(10, 4.0, micro_row_vec("a", 5000, 10.0, 8.0, 5.0)), "cur");
-  EXPECT_FALSE(compare(base, ok, {}).regressed);  // ~17% < 30%
-  const auto bad = parse_bench_json(
-      bench_json(10, 4.0, micro_row_vec("a", 5000, 10.0, 8.0, 3.0)), "cur");
-  const auto outcome = compare(base, bad, {});
-  EXPECT_TRUE(outcome.regressed);
-  EXPECT_TRUE(has_line_with(outcome, "FAIL a (vector)"));
-}
-
-TEST(BenchGateCompareTest, VectorMetricDisappearingFails) {
-  const auto base = parse_bench_json(
-      bench_json(10, 4.0, micro_row_vec("a", 5000, 10.0, 8.0, 6.0)), "base");
-  const auto cur = parse_bench_json(
-      bench_json(10, 4.0, micro_row("a", 5000, 10.0, 8.0)), "cur");
-  const auto outcome = compare(base, cur, {});
-  EXPECT_TRUE(outcome.regressed);
-  EXPECT_TRUE(has_line_with(outcome, "vector_speedup missing from current"));
-}
-
 TEST(BenchGateCompareTest, RowsWithoutVectorMetricCompareOnSpeedupOnly) {
-  // A fused-parallel row never times the vector engine: its JSON has no
-  // vector keys and the gate must compare the primary speedup alone.
+  // A row carries one gated metric, the primary speedup; a parallel row
+  // is compared on it alone.
   const auto base = parse_bench_json(
       bench_json(10, 4.0,
-                 micro_row("parallel-fused/unison/ring-1M/sync/t8", 5000,
+                 micro_row("parallel/unison/ring-1M/sync/t8", 5000,
                            1000.0, 1.4)),
       "base");
   const auto cur = parse_bench_json(
       bench_json(10, 4.0,
-                 micro_row("parallel-fused/unison/ring-1M/sync/t8", 5000,
+                 micro_row("parallel/unison/ring-1M/sync/t8", 5000,
                            1000.0, 1.3)),
       "cur");
   const auto outcome = compare(base, cur, {});
   EXPECT_FALSE(outcome.regressed);
   EXPECT_TRUE(
-      has_line_with(outcome, "ok   parallel-fused/unison/ring-1M/sync/t8"));
+      has_line_with(outcome, "ok   parallel/unison/ring-1M/sync/t8"));
 }
 
 // --- serve snapshots ----------------------------------------------------

@@ -92,7 +92,7 @@ TEST(EdgeCaseTest, CompleteGraphHasUnitBound) {
   }
 }
 
-// --- Empty and single-vertex graphs, all four engines ---
+// --- Empty and single-vertex graphs, all three engines ---
 
 /// Every engine must return a well-formed *terminated* RunResult on the
 /// empty graph: no enabled vertices exist, so the run ends before the
@@ -110,7 +110,6 @@ void expect_degenerate_termination(const Graph& g, const P& proto,
   };
   constexpr EngineCase kCases[] = {{EngineKind::kReference, 1},
                                    {EngineKind::kIncremental, 1},
-                                   {EngineKind::kVector, 1},
                                    {EngineKind::kParallel, 1},
                                    {EngineKind::kParallel, 8}};
   for (const auto& daemon_name :
@@ -182,7 +181,6 @@ TEST(EdgeCaseTest, SingleVertexUnisonRunsToCapIdenticallyOnAllEngines) {
   };
   constexpr EngineCase kCases[] = {{EngineKind::kReference, 1},
                                    {EngineKind::kIncremental, 1},
-                                   {EngineKind::kVector, 1},
                                    {EngineKind::kParallel, 1},
                                    {EngineKind::kParallel, 8}};
   for (const EngineCase c : kCases) {
@@ -211,8 +209,8 @@ TEST(EdgeCaseTest, SingleVertexUnisonRunsToCapIdenticallyOnAllEngines) {
 TEST(EdgeCaseTest, SingleVertexSessionsThreadInvariantThroughRegistry) {
   // The type-erased session path on a single-vertex graph: every
   // non-ring protocol must produce a well-formed SessionResult, and the
-  // three alternative engines must match the reference byte for byte
-  // (ring-only protocols are skipped — an index ring needs n >= 3).
+  // incremental and parallel engines must match the reference byte for
+  // byte (ring-only protocols are skipped — an index ring needs n >= 3).
   const auto& registry = ProtocolRegistry::instance();
   const Graph g(1);
   for (const auto& entry : registry.entries()) {
@@ -227,7 +225,6 @@ TEST(EdgeCaseTest, SingleVertexSessionsThreadInvariantThroughRegistry) {
       unsigned threads;
     };
     constexpr EngineCase kCases[] = {{EngineKind::kIncremental, 1},
-                                     {EngineKind::kVector, 1},
                                      {EngineKind::kParallel, 1},
                                      {EngineKind::kParallel, 8}};
     for (const EngineCase c : kCases) {

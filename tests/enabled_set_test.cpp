@@ -1,5 +1,5 @@
-// EnabledSet word-level bulk writes — the path the vector engine uses to
-// publish 64 guard verdicts per append_mask() call.
+// EnabledSet word-level bulk writes — the path the dense guard rescan
+// (rescan_enabled()) uses to publish 64 verdicts per append_mask() call.
 //
 // The contract under test: a rebuild performed with append_mask() over
 // packed verdict words produces exactly the same set (membership words
@@ -21,7 +21,7 @@ namespace specstab {
 namespace {
 
 /// Packs a byte-per-vertex verdict array into words and rebuilds `set`
-/// through append_mask — the vector engine's publication loop.
+/// through append_mask — rescan_enabled()'s publication loop.
 void rebuild_from_bytes(EnabledSet& set, const std::vector<std::uint8_t>& on) {
   const auto n = static_cast<VertexId>(on.size());
   set.begin_rebuild();

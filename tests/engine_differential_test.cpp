@@ -1,10 +1,10 @@
 // Differential harness: the incremental dirty-set engine vs the
-// reference full-rescan engine vs the vectorized column-scan engine vs
-// the sharded parallel engine (at 1, 2 and 8 threads) over a randomized
-// grid — every protocol crossed with ring/path/torus/random topologies,
-// synchronous / central-rr / bernoulli / random-subset daemons, and many
-// seeds.  All engines must produce byte-identical
-// final configurations and identical steps/moves/rounds/
+// reference full-rescan engine vs the sharded parallel engine (at 1, 2
+// and 8 threads) over a randomized grid — every protocol crossed with
+// ring/path/torus/random topologies, synchronous / central-rr /
+// bernoulli / random-subset daemons, and many seeds.  All engines must
+// produce byte-identical final configurations and identical
+// steps/moves/rounds/
 // first_legitimate/last_illegitimate/moves_to_convergence (the full
 // RunResult metering surface).
 //
@@ -62,7 +62,7 @@ std::vector<Graph> general_topologies() {
   return out;
 }
 
-/// Runs one scenario on all four engines (independent daemon instances,
+/// Runs one scenario on all three engines (independent daemon instances,
 /// fresh checkers) and asserts the RunResults are identical.  The
 /// parallel engine runs at 1, 2 and 8 threads — its contract is
 /// byte-identical output at every thread count.
@@ -83,7 +83,6 @@ void expect_engines_agree(const Graph& g, const P& proto,
     unsigned threads;
   };
   constexpr EngineCase kCases[] = {{EngineKind::kIncremental, 1},
-                                   {EngineKind::kVector, 1},
                                    {EngineKind::kParallel, 1},
                                    {EngineKind::kParallel, 2},
                                    {EngineKind::kParallel, 8}};
@@ -295,11 +294,11 @@ TEST(EngineDifferentialTest, ClosureViolationCountsAgree) {
                                     : random_config(g, proto.clock(), seed);
     RunOptions opt;
     opt.max_steps = 200;
-    std::int64_t violations[4] = {0, 0, 0, 0};
+    std::int64_t violations[3] = {0, 0, 0};
     int i = 0;
     for (const EngineKind kind :
          {EngineKind::kReference, EngineKind::kIncremental,
-          EngineKind::kVector, EngineKind::kParallel}) {
+          EngineKind::kParallel}) {
       auto daemon = make_daemon("bernoulli-0.5", seed);
       ClosureCounting checker(make_mutex_safety_checker(proto));
       opt.engine = kind;
@@ -309,7 +308,6 @@ TEST(EngineDifferentialTest, ClosureViolationCountsAgree) {
     }
     EXPECT_EQ(violations[0], violations[1]) << "seed=" << seed;
     EXPECT_EQ(violations[0], violations[2]) << "seed=" << seed;
-    EXPECT_EQ(violations[0], violations[3]) << "seed=" << seed;
   }
 }
 
@@ -317,9 +315,10 @@ TEST(EngineDifferentialTest, RegistryIterationAllEnginesAllProtocols) {
   // The registry replaces the hand-maintained protocol list: every
   // registered protocol — present and future — is differentially tested
   // through the type-erased session API, each supported init crossed
-  // with the daemon axis over many seeds, incremental and vector vs
-  // reference.  The vector leg also proves registry completeness of the
-  // engine: protocols without a SimdEval kernel run its scalar fallback.
+  // with the daemon axis over many seeds, incremental and parallel vs
+  // reference.  The dense steps also prove registry completeness of the
+  // guard rescan: protocols without a SimdEval kernel run its scalar
+  // fallback.
   const std::size_t seeds = std::max<std::size_t>(25, diff_seeds() / 8);
   const auto& registry = ProtocolRegistry::instance();
   ASSERT_GE(registry.names().size(), 9u);
@@ -340,7 +339,6 @@ TEST(EngineDifferentialTest, RegistryIterationAllEnginesAllProtocols) {
             unsigned threads;
           };
           constexpr EngineCase kCases[] = {{EngineKind::kIncremental, 1},
-                                           {EngineKind::kVector, 1},
                                            {EngineKind::kParallel, 2},
                                            {EngineKind::kParallel, 8}};
           for (const EngineCase c : kCases) {
@@ -386,11 +384,11 @@ TEST(EngineDifferentialTest, DeltaTracesIdenticalAcrossEngines) {
     opt.max_steps = 120;
     opt.record_trace = true;
     std::vector<Config<ClockValue>> observed;
-    RunResult<ClockValue> results[4];
+    RunResult<ClockValue> results[3];
     int i = 0;
     for (const EngineKind kind :
          {EngineKind::kReference, EngineKind::kIncremental,
-          EngineKind::kVector, EngineKind::kParallel}) {
+          EngineKind::kParallel}) {
       auto daemon = make_daemon("bernoulli-0.5", seed);
       auto checker = make_gamma1_checker(proto);
       opt.engine = kind;
@@ -414,13 +412,12 @@ TEST(EngineDifferentialTest, DeltaTracesIdenticalAcrossEngines) {
     }
     EXPECT_EQ(results[0].trace, results[1].trace) << "seed=" << seed;
     EXPECT_EQ(results[0].trace, results[2].trace) << "seed=" << seed;
-    EXPECT_EQ(results[0].trace, results[3].trace) << "seed=" << seed;
   }
 }
 
 TEST(EngineDifferentialTest, CampaignRowsIdenticalAcrossEngines) {
   // End-to-end: a whole campaign grid must aggregate to identical rows
-  // under either engine.
+  // under every engine, and under the `vector` alias of incremental.
   const campaign::CampaignGrid grid = campaign::thm3_grid(/*smoke=*/true);
   campaign::RunnerOptions ref_opt;
   ref_opt.threads = 2;

@@ -2,7 +2,7 @@
 // parsing, plan determinism and victim-selection properties, the
 // recovery meter, service-stall windows, and a hand-computable min+1
 // fixture whose corruption epochs and steps-to-legitimacy are known
-// exactly and must agree across all four engines, both layouts, and
+// exactly and must agree across all three engines, both layouts, and
 // every thread count.
 #include "sim/fault_plan.hpp"
 
@@ -268,7 +268,7 @@ TEST(FaultHandFixtureTest, AllEnginesLayoutsAndThreadCountsAgree) {
   const auto ref = run_perturbed_min_plus_one(EngineKind::kReference,
                                               ConfigLayout::kAoS, 1);
   for (const EngineKind engine :
-       {EngineKind::kReference, EngineKind::kIncremental, EngineKind::kVector,
+       {EngineKind::kReference, EngineKind::kIncremental,
         EngineKind::kParallel}) {
     for (const ConfigLayout layout :
          {ConfigLayout::kAuto, ConfigLayout::kAoS, ConfigLayout::kSoA}) {

@@ -121,7 +121,7 @@ TEST(LayoutAgreement, HotColdResidualSplitAgreesAcrossEnginesAndLayouts) {
         std::vector<std::string> labels;
         for (const EngineKind engine :
              {EngineKind::kReference, EngineKind::kIncremental,
-              EngineKind::kVector, EngineKind::kParallel}) {
+              EngineKind::kParallel}) {
           for (const ConfigLayout layout :
                {ConfigLayout::kAoS, ConfigLayout::kSoA}) {
             RunOptions opt;
@@ -210,7 +210,7 @@ TEST(LayoutAgreement, LeaderColumnsAgreeWithAoSIncludingTraces) {
       std::vector<RunResult<LeaderState>> runs;
       for (const EngineKind engine :
            {EngineKind::kReference, EngineKind::kIncremental,
-            EngineKind::kVector, EngineKind::kParallel}) {
+            EngineKind::kParallel}) {
         for (const ConfigLayout layout :
              {ConfigLayout::kAoS, ConfigLayout::kSoA}) {
           RunOptions opt;
@@ -259,7 +259,7 @@ TEST(LayoutAgreement, RegistrySessionsAgreeByteForByteAcrossLayouts) {
           std::vector<std::string> labels;
           for (const EngineKind engine :
                {EngineKind::kReference, EngineKind::kIncremental,
-                EngineKind::kVector, EngineKind::kParallel}) {
+                EngineKind::kParallel}) {
             for (const ConfigLayout layout :
                  {ConfigLayout::kAoS, ConfigLayout::kSoA}) {
               spec.engine = engine;

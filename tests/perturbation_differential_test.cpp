@@ -1,7 +1,7 @@
 // Perturbation differential suite: fault-injected runs must stay
 // byte-identical — final configuration, every meter, the recovery
 // distribution, and the complete delta trace with its perturbation
-// records — across all four engines, both layouts, and every thread
+// records — across all three engines, both layouts, and every thread
 // count.  The FaultPlan draws every victim and corrupted value from its
 // own seeded stream, so engine-side data structures can never leak into
 // the schedule; this suite is the check that holds that contract.
@@ -123,7 +123,6 @@ void expect_perturbation_invariant(const Graph& g, const P& proto,
       {EngineKind::kReference, ConfigLayout::kSoA, 1},
       {EngineKind::kIncremental, ConfigLayout::kAoS, 1},
       {EngineKind::kIncremental, ConfigLayout::kSoA, 1},
-      {EngineKind::kVector, ConfigLayout::kAuto, 1},
       {EngineKind::kParallel, ConfigLayout::kAuto, 1},
       {EngineKind::kParallel, ConfigLayout::kAoS, 2},
       {EngineKind::kParallel, ConfigLayout::kSoA, 8},
@@ -202,7 +201,7 @@ TEST(PerturbationDifferential, SsmeRecoveryMetersAcrossEngines) {
 
 TEST(PerturbationDifferential, RegistrySessionsAgreeForEveryProtocol) {
   // Through the type-erased session API: every registered protocol, all
-  // four engines, multi-threaded parallel legs.  Digests, meters,
+  // three engines, multi-threaded parallel legs.  Digests, meters,
   // recovery stats and service stalls must match byte for byte.
   const auto& registry = ProtocolRegistry::instance();
   const Graph g = make_ring(24);
@@ -223,7 +222,6 @@ TEST(PerturbationDifferential, RegistrySessionsAgreeForEveryProtocol) {
       unsigned threads;
     };
     const Leg legs[] = {{EngineKind::kIncremental, 1},
-                        {EngineKind::kVector, 1},
                         {EngineKind::kParallel, 1},
                         {EngineKind::kParallel, 8}};
     for (const Leg& leg : legs) {

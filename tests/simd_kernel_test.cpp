@@ -8,7 +8,9 @@
 // to the scalar guards, apply(), and the Gamma_1 checker's count.  The
 // engine case drives sparse steps and fault epochs (which leave the
 // verdict buffer stale) right before dense steps, so the stale-code
-// fallback to apply() is exercised against the incremental engine.
+// fallback to apply() is exercised against the incremental engine.  The
+// last case holds the incremental engine's dense steps to the fused
+// Gamma_1 total: no per-vertex checker scoring until a sparse step.
 //
 // This suite carries the `differential` ctest label, so CI runs it under
 // ASan/UBSan with fatal UBSan reports: an overflow in the kernel's
@@ -255,6 +257,98 @@ TEST(SimdKernel, DenseStepsAfterSparseStepsAndFaultsMatchIncremental) {
       }
     }
   }
+}
+
+/// Synchronous for the first `dense_steps` actions, central (the lowest
+/// enabled vertex) after.
+class DenseThenSparseDaemon final : public Daemon {
+ public:
+  explicit DenseThenSparseDaemon(StepIndex dense_steps)
+      : dense_steps_(dense_steps) {}
+  void select_into(const Graph&, const EnabledView& enabled, StepIndex step,
+                   ActionBuffer& out) override {
+    if (step < dense_steps_) {
+      out.active.assign(enabled.vertices().begin(), enabled.vertices().end());
+    } else {
+      out.active.assign(1, enabled.front());
+    }
+  }
+  [[nodiscard]] std::string name() const override {
+    return "dense-then-sparse";
+  }
+
+ private:
+  StepIndex dense_steps_;
+};
+
+TEST(SimdKernel, IncrementalDenseStepsTakeTheFusedTotal) {
+  // A Gamma_1 checker that shares the kernel's ScoreKind takes gamma_0's
+  // verdict and every dense step's verdict from the guard kernel's fused
+  // violation total under the incremental engine: its per-vertex score
+  // never runs.  The sparse steps after that rebuild the stale caches
+  // and must still match the reference engine and a from-scratch count.
+  const Graph g = make_ring(200);
+  const SsmeProtocol proto = SsmeProtocol::for_graph(g);
+  std::int64_t score_calls = 0;
+  auto score = [&](const Graph& gg, const ConfigView<ClockValue>& cfg,
+                   VertexId v) -> std::int32_t {
+    ++score_calls;
+    return proto.unison().locally_legitimate(gg, cfg, v) ? 0 : 1;
+  };
+  auto verdict = [](std::int64_t total) { return total == 0; };
+  using CountingChecker =
+      LocalScoreChecker<ClockValue, decltype(score), decltype(verdict),
+                        NoBulkTotal, Gamma1ScoreKind>;
+  static_assert(kFusedScore<SsmeProtocol, CountingChecker>);
+
+  constexpr StepIndex kDenseSteps = 24;
+  const Config<ClockValue> init = flat_with_spike(g, proto.clock());
+  RunOptions opt;
+  opt.max_steps = kDenseSteps + 6;
+
+  std::int64_t calls_after_dense = -1;
+  const StepObserver<ClockValue> watch =
+      [&](StepIndex step, ConfigView<ClockValue>,
+          const std::vector<VertexId>& activated) {
+        if (step < kDenseSteps) {
+          EXPECT_TRUE(is_dense_update(
+              static_cast<std::int64_t>(activated.size()), 1, g))
+              << "step " << step;
+        } else if (step == kDenseSteps) {
+          calls_after_dense = score_calls;
+        }
+      };
+  CountingChecker checker(score, verdict, 1);
+  DenseThenSparseDaemon daemon(kDenseSteps);
+  opt.engine = EngineKind::kIncremental;
+  const auto got = run_with_engine(g, proto, daemon, init, opt, checker,
+                                   watch);
+  EXPECT_EQ(calls_after_dense, 0);
+  EXPECT_GT(score_calls, 0);  // the sparse steps rebuilt the caches
+
+  auto ref_checker = make_gamma1_checker(proto);
+  DenseThenSparseDaemon ref_daemon(kDenseSteps);
+  opt.engine = EngineKind::kReference;
+  const auto ref = run_with_engine(g, proto, ref_daemon, init, opt,
+                                   ref_checker);
+  ASSERT_EQ(ref.steps, kDenseSteps + 6);
+  ASSERT_GE(ref.last_illegitimate, 1);  // the fused totals were not all 0
+  EXPECT_EQ(got.final_config, ref.final_config);
+  EXPECT_EQ(got.steps, ref.steps);
+  EXPECT_EQ(got.moves, ref.moves);
+  EXPECT_EQ(got.rounds, ref.rounds);
+  EXPECT_EQ(got.first_legitimate, ref.first_legitimate);
+  EXPECT_EQ(got.last_illegitimate, ref.last_illegitimate);
+
+  // The cached total after the last sparse step is the from-scratch one.
+  const std::int64_t cached = checker.total();
+  const ConfigView<ClockValue> final_view(got.final_config);
+  std::int64_t fresh = 0;
+  for (VertexId v = 0; v < g.n(); ++v) {
+    fresh += proto.unison().locally_legitimate(g, final_view, v) ? 0 : 1;
+  }
+  EXPECT_EQ(cached, fresh);
+  EXPECT_EQ(cached == 0, checker.full(g, final_view));
 }
 
 }  // namespace
